@@ -8,7 +8,7 @@ BENCH_JSON ?= BENCH_8.json
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_JSON)
 
-.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff docs-check run-daemon loadtest-smoke loadgrid
+.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-selftest bench-json bench-diff docs-check run-daemon loadtest-smoke loadgrid
 
 all: vet fmt-check build test docs-check
 
@@ -61,7 +61,7 @@ alloc-check:
 # concurrency tests first. -count=1: faults must be injected, not
 # replayed from the test cache.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Cancelled|Deadline|HonoursContext|NilContext|LiveContext|CloseRaces|QueryGate|QueryTimeout|Drain|Degraded|BulkByteGate' ./internal/store ./internal/httpapi
+	$(GO) test -race -count=1 -run 'Chaos|Cancelled|Deadline|HonoursContext|BackgroundContext|LiveContext|CloseRaces|QueryGate|QueryTimeout|Drain|Degraded|BulkByteGate' ./internal/store ./internal/httpapi
 
 # Short native-fuzz passes: the engine's plan-cache key path, the
 # witness-soundness targets for the semantic planner's decision
@@ -79,7 +79,8 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 2x ./...
 
-# Just the engine layer: plan-cache hit/miss and batch parallelism.
+# Just the engine layer: plan-cache hit/miss, zero-alloc evaluation
+# and the NDJSON readers.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' ./...
 
@@ -94,6 +95,15 @@ bench-store:
 # this on every push.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner' -benchtime 1x ./...
+
+# End-to-end benchmark self-test: perfbench/ is its own Go module
+# (go build ./... skips it), so a store or engine API change could
+# break the committed benchmark while every other check stays green.
+# The self-test builds it against this checkout and runs all four
+# workloads at tiny sizes, traced and untraced, checking every answer;
+# it prints "selftest ok".
+bench-selftest:
+	bash perfbench/run.sh --selftest
 
 # Documentation checks: required docs exist, relative markdown links
 # resolve, and every package (including examples/) compiles via vet.

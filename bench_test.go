@@ -10,6 +10,7 @@
 package jsonlogic
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -680,46 +681,10 @@ func BenchmarkEngineSemanticCompile(b *testing.B) {
 	}
 }
 
-// engineBatchTrees builds the document corpus shared by the batch
-// benchmarks: many mid-size random documents.
-func engineBatchTrees(count, size int) []*jsontree.Tree {
-	trees := make([]*jsontree.Tree, count)
-	for i := range trees {
-		trees[i] = jsontree.FromValue(gen.SizedDocument(int64(i+1), size))
-	}
-	return trees
-}
-
-// BenchmarkEngineEvalBatch compares a sequential evaluation loop
-// against the engine's worker-pool EvalBatch over the same shared plan.
-// On a multi-core host the parallel series divides by the worker count;
-// ns/op is per batch.
-func BenchmarkEngineEvalBatch(b *testing.B) {
-	plan := engine.MustCompile(engine.LangJNL, `[/~"k.*" /~"k.*"] || eq(/k1, 7)`)
-	trees := engineBatchTrees(64, 4000)
-	seq := engine.New(engine.Options{Workers: 1})
-	par := engine.New(engine.Options{}) // GOMAXPROCS workers
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := seq.EvalBatch(plan, trees); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("parallel/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := par.EvalBatch(plan, trees); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkEngineEvalZeroAlloc pins the pooled-executor acceptance
-// criterion: with the plan cached and the result buffer reused, a
-// steady-state Validate and a predicate-path Eval perform zero
+// criterion: with the plan cached, the result buffer reused and
+// context.Background (cancellation checkpoints unarmed), a
+// steady-state Validate and a predicate-path EvalAppend perform zero
 // allocations per evaluated document — the executor's memo tables,
 // regex memo and scratch sets all come from the pool on the compiled
 // program. (JSONPath-style selection enumerators still allocate
@@ -733,13 +698,13 @@ func BenchmarkEngineEvalZeroAlloc(b *testing.B) {
 	}
 	tree := jsontree.MustParse(`{"meta":{"tenant":"t7","seq":4096},"payload":{"a":[1,2,3],"b":"x"}}`)
 	b.Run("validate", func(b *testing.B) {
-		if _, err := e.Validate(plan, tree); err != nil {
+		if _, err := e.Validate(context.Background(), plan, tree); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ok, err := e.Validate(plan, tree)
+			ok, err := e.Validate(context.Background(), plan, tree)
 			if err != nil || !ok {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
@@ -751,7 +716,7 @@ func BenchmarkEngineEvalZeroAlloc(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			buf, err = e.EvalAppend(plan, tree, buf[:0])
+			buf, err = e.EvalAppend(context.Background(), plan, tree, buf[:0])
 			if err != nil || len(buf) != 1 {
 				b.Fatalf("selected %d nodes, err %v", len(buf), err)
 			}
@@ -877,7 +842,7 @@ func BenchmarkStoreFindMongo(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed/docs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ids, _, err := s.Find(plan)
+				ids, _, err := s.Find(context.Background(), plan, nil)
 				if err != nil || len(ids) != want {
 					b.Fatalf("got %d docs (err %v), want %d", len(ids), err, want)
 				}
@@ -906,7 +871,7 @@ func BenchmarkStoreSelectJSONPath(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed/docs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sels, _, err := s.Select(plan)
+				sels, _, err := s.Select(context.Background(), plan, nil)
 				if err != nil || len(sels) != want {
 					b.Fatalf("got %d docs (err %v), want %d", len(sels), err, want)
 				}
@@ -943,7 +908,7 @@ func BenchmarkStoreSemanticShortCircuit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids, _, err := s.Find(plan)
+		ids, _, err := s.Find(context.Background(), plan, nil)
 		if err != nil || len(ids) != 0 {
 			b.Fatalf("got %d docs (err %v), want 0", len(ids), err)
 		}

@@ -191,7 +191,7 @@ var defaultHotPath = []string{
 	"BenchmarkStoreSemanticShortCircuit",
 	// Segment-tier restart: Open maps the newest segment instead of
 	// replaying the log, so startup is a serving property now. The
-	// replay and legacy-snapshot modes stay ungated (I/O-bound).
+	// replay mode stays ungated (I/O-bound).
 	"BenchmarkStoreRecover/segment-open/docs=100000",
 }
 

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -79,7 +80,7 @@ func main() {
 	tr := jsontree.FromValue(doc)
 	switch lang {
 	case engine.LangJNL:
-		nodes, err := eng.Eval(plan, tr)
+		nodes, err := eng.Eval(context.Background(), plan, tr)
 		if err != nil {
 			fatal(err)
 		}
@@ -88,7 +89,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "%d of %d nodes satisfy the formula\n", len(nodes), tr.Len())
 	case engine.LangJSONPath:
-		nodes, err := eng.Eval(plan, tr)
+		nodes, err := eng.Eval(context.Background(), plan, tr)
 		if err != nil {
 			fatal(err)
 		}
@@ -96,7 +97,7 @@ func main() {
 			fmt.Println(tr.Value(n))
 		}
 	case engine.LangMongoFind:
-		ok, err := eng.Validate(plan, tr)
+		ok, err := eng.Validate(context.Background(), plan, tr)
 		if err != nil {
 			fatal(err)
 		}

@@ -205,7 +205,6 @@ func main() {
 			"segments_mapped", rec.SegmentsMapped,
 			"segment_docs", rec.SegmentDocs,
 			"invalid_segments", rec.InvalidSegments,
-			"snapshot_docs", rec.SnapshotDocs,
 			"wal_records_replayed", rec.WALRecordsReplayed,
 			"torn_tails", rec.TornTails,
 			"fsync", policy.String())

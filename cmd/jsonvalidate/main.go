@@ -20,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -130,7 +131,7 @@ func validateOne(eng *engine.Engine, plan *engine.Plan, validate func(*jsonval.V
 	}
 	var ok bool
 	if plan != nil {
-		ok, err = eng.Validate(plan, jsontree.FromValue(doc))
+		ok, err = eng.Validate(context.Background(), plan, jsontree.FromValue(doc))
 	} else {
 		ok, err = validate(doc)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ids, indexed, err := st.Find(p)
+		ids, indexed, err := st.Find(context.Background(), p, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func main() {
 	// Node selection through the index: JSONPath is root-anchored, so
 	// its prefix prunes documents before any evaluation.
 	p := engine.MustCompile(engine.LangJSONPath, `$.stock.warehouse`)
-	sels, _, err := st.Select(p)
+	sels, _, err := st.Select(context.Background(), p, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestCompileTracedUntracedZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, err := e.Validate(p, tree)
+		ok, err := e.Validate(context.Background(), p, tree)
 		if err != nil || !ok {
 			t.Fatalf("validate: %v %v", ok, err)
 		}

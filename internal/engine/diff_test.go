@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestDifferentialJNL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine rejects %q: %v", src, err)
 		}
-		got, err := e.Eval(p, tr)
+		got, err := e.Eval(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("Eval(%q): %v", src, err)
 		}
@@ -82,7 +83,7 @@ func TestDifferentialJNL(t *testing.T) {
 			t.Fatalf("pair %d: engine disagrees with reference on %q\ntree: %s\nengine:    %v\nreference: %v",
 				i, src, tr, got, want)
 		}
-		ok, err := e.Validate(p, tr)
+		ok, err := e.Validate(context.Background(), p, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestDifferentialJSL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine rejects %q: %v", src, err)
 		}
-		got, err := e.Eval(p, tr)
+		got, err := e.Eval(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("Eval(%q): %v", src, err)
 		}
@@ -140,7 +141,7 @@ func TestDifferentialJSL(t *testing.T) {
 			t.Fatalf("pair %d: engine disagrees with reference on %q\ntree: %s\nengine:    %v\nreference: %v",
 				i, src, tr, got, wantNodes)
 		}
-		ok, err := e.Validate(p, tr)
+		ok, err := e.Validate(context.Background(), p, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestDifferentialJSONPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine rejects %q: %v", src, err)
 		}
-		got, err := e.Eval(p, tr)
+		got, err := e.Eval(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("Eval(%q): %v", src, err)
 		}
@@ -199,7 +200,7 @@ func TestDifferentialMongo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine rejects %q: %v", src, err)
 		}
-		got, err := e.Validate(p, tr)
+		got, err := e.Validate(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("Validate(%q): %v", src, err)
 		}
@@ -207,7 +208,7 @@ func TestDifferentialMongo(t *testing.T) {
 			t.Fatalf("pair %d: engine says %v, mongoq reference says %v for %q on %s", i, got, want, src, doc)
 		}
 		// Node-selection semantics: the root's membership must agree.
-		nodes, err := e.Eval(p, tr)
+		nodes, err := e.Eval(context.Background(), p, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +225,9 @@ func TestDifferentialMongo(t *testing.T) {
 	t.Logf("Mongo: %d pairs, cache %+v", diffPairs, e.CacheStats())
 }
 
-// TestDifferentialBatchAndNDJSON closes the loop on the batch paths:
-// EvalBatch and ValidateReader must agree with the reference evaluator
-// per document.
+// TestDifferentialBatchAndNDJSON closes the loop on the NDJSON batch
+// paths: EvalReader and ValidateReader must agree with the reference
+// evaluator per document.
 func TestDifferentialBatchAndNDJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(505))
 	e := New(Options{Workers: 4})
@@ -237,31 +238,18 @@ func TestDifferentialBatchAndNDJSON(t *testing.T) {
 	}
 	u := jnl.MustParse(src)
 
-	trees := make([]*jsontree.Tree, 64)
 	var ndjson strings.Builder
-	docs := make([]string, len(trees))
-	for i := range trees {
-		doc := gen.Document(r, diffDocOptions())
-		trees[i] = jsontree.FromValue(doc)
-		docs[i] = doc.String()
+	docs := make([]string, 64)
+	for i := range docs {
+		docs[i] = gen.Document(r, diffDocOptions()).String()
 		ndjson.WriteString(docs[i] + "\n")
-	}
-	batch, err := e.EvalBatch(p, trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range trees {
-		want := jnl.NewEvaluator(tr).Eval(u).Slice()
-		if !sameNodes(batch[i], want) {
-			t.Fatalf("batch doc %d disagrees with reference", i)
-		}
 	}
 	results, err := e.EvalReader(p, strings.NewReader(ndjson.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(trees) {
-		t.Fatalf("NDJSON returned %d results, want %d", len(results), len(trees))
+	if len(results) != len(docs) {
+		t.Fatalf("NDJSON returned %d results, want %d", len(results), len(docs))
 	}
 	for i, res := range results {
 		if res.Err != nil {
@@ -325,8 +313,8 @@ func FuzzPlanCache(f *testing.F) {
 		if err != nil {
 			t.Fatalf("uncached compile of %q failed after cached succeeded: %v", src, err)
 		}
-		gotCached, err1 := e.Eval(p1, tree)
-		gotFresh, err2 := e.Eval(fresh, tree)
+		gotCached, err1 := e.Eval(context.Background(), p1, tree)
+		gotFresh, err2 := e.Eval(context.Background(), fresh, tree)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("cached/fresh eval errors diverge: %v vs %v", err1, err2)
 		}
@@ -369,7 +357,7 @@ func TestReferenceOracles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generator bug: (%v, %q): %v", fe.lang, src, err)
 		}
-		got, err := e.Eval(p, tr)
+		got, err := e.Eval(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("eval (%v, %q): %v", fe.lang, src, err)
 		}
@@ -381,7 +369,7 @@ func TestReferenceOracles(t *testing.T) {
 			t.Fatalf("pair %d: QIR disagrees with oracle on (%v, %q)\ntree: %s\nqir:    %v\noracle: %v",
 				i, fe.lang, src, tr, got, want)
 		}
-		gotV, err := e.Validate(p, tr)
+		gotV, err := e.Validate(context.Background(), p, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

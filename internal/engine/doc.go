@@ -23,26 +23,30 @@
 //     parse + translate + normalize once, not per request.
 //
 //   - Evaluation: Engine.Eval and Engine.Validate run the plan's QIR
-//     program, which instantiates its per-(plan, tree) mutable state —
+//     program, which draws its per-(plan, tree) mutable state —
 //     closure and definition memo tables, regex and uniqueness memos —
-//     fresh on every call. That state never outlives a call and is
-//     never shared, which makes the public API goroutine-safe without
-//     locks on the hot path.
+//     from a pool on the program, reset for every call. That state is
+//     owned by one call at a time and never shared, which makes the
+//     public API goroutine-safe without locks on the hot path.
 //
 // This mirrors the split the paper itself makes: the formula (compiled
 // once; Propositions 1 and 3 measure evaluation per formula size |φ|)
 // versus the per-document structures (node sets, equality classes, edge
 // marks) that evaluation builds in O(|J|·|φ|).
 //
-// # Batch and streaming entry points
+// # Entry points
 //
-// EvalBatch and ValidateBatch fan a single plan out over a slice of
-// trees with a bounded worker pool, preserving input order. The NDJSON
-// path (EvalReader, ValidateReader) accepts an io.Reader holding one
-// JSON document per line; lines are tokenized with internal/stream's
+// Evaluation has one entry point per mode — Eval, EvalAppend (Eval
+// into a reused buffer) and Validate — each taking a context.Context.
+// The executor arms its cooperative cancellation checkpoints only when
+// ctx.Done() is non-nil, so context.Background runs the unchecked
+// path, allocation-free on a plan-cache hit. The NDJSON path
+// (EvalReader, ValidateReader) accepts an io.Reader holding one JSON
+// document per line; lines are tokenized with internal/stream's
 // tokenizer and materialized through jsontree.Builder — one pooled
-// Builder per worker, reset between documents — then evaluated in
-// parallel. A malformed line fails that line only, not the batch.
+// Builder per worker (Options.Workers), reset between documents — then
+// evaluated in parallel. A malformed line fails that line only, not
+// the batch.
 //
 // # Relation to the reference semantics
 //

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -44,14 +45,14 @@ func TestEvalPerLanguage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			ok, err := e.Validate(p, tr)
+			ok, err := e.Validate(context.Background(), p, tr)
 			if err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
 			if ok != tc.wantValid {
 				t.Errorf("Validate = %v, want %v", ok, tc.wantValid)
 			}
-			nodes, err := e.Eval(p, tr)
+			nodes, err := e.Eval(context.Background(), p, tr)
 			if err != nil {
 				t.Fatalf("Eval: %v", err)
 			}
@@ -158,55 +159,6 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	mustCompile(`[/b]`) // must re-compile: it was evicted
 	if e.CacheStats().Misses != before+1 {
 		t.Error("b was still cached after eviction")
-	}
-}
-
-func TestBatchMatchesSequential(t *testing.T) {
-	e := New(Options{Workers: 4})
-	p := MustCompile(LangJNL, `[/k1] || eq(/k2, 7)`)
-	trees := make([]*jsontree.Tree, 37)
-	for i := range trees {
-		trees[i] = jsontree.MustParse(fmt.Sprintf(`{"k1": %d, "k2": %d, "pad%d": [%d]}`, i, i%9, i, i))
-	}
-	batch, err := e.EvalBatch(p, trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdicts, err := e.ValidateBatch(p, trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range trees {
-		seq, err := e.Eval(p, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq) != len(batch[i]) {
-			t.Fatalf("tree %d: batch %v != sequential %v", i, batch[i], seq)
-		}
-		for j := range seq {
-			if seq[j] != batch[i][j] {
-				t.Fatalf("tree %d: batch %v != sequential %v", i, batch[i], seq)
-			}
-		}
-		ok, err := e.Validate(p, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != verdicts[i] {
-			t.Fatalf("tree %d: batch verdict %v != sequential %v", i, verdicts[i], ok)
-		}
-	}
-}
-
-func TestEmptyBatch(t *testing.T) {
-	e := New(Options{})
-	p := MustCompile(LangJNL, `true`)
-	if out, err := e.EvalBatch(p, nil); err != nil || len(out) != 0 {
-		t.Errorf("empty EvalBatch = (%v, %v)", out, err)
-	}
-	if out, err := e.ValidateBatch(p, nil); err != nil || len(out) != 0 {
-		t.Errorf("empty ValidateBatch = (%v, %v)", out, err)
 	}
 }
 

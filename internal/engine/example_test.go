@@ -5,6 +5,7 @@ package engine_test
 // these, so the documentation cannot rot.
 
 import (
+	"context"
 	"fmt"
 
 	"jsonlogic/internal/engine"
@@ -21,7 +22,7 @@ func ExampleEngine_Eval() {
 		panic(err)
 	}
 	doc := jsontree.MustParse(`{"store":{"book":[{"title":"Sculpting in Time","pages":256}]}}`)
-	nodes, err := eng.Eval(plan, doc)
+	nodes, err := eng.Eval(context.Background(), plan, doc)
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +42,7 @@ func ExampleEngine_Validate() {
 		panic(err)
 	}
 	for _, doc := range []string{`{"age":42}`, `{"age":7}`, `{"name":"ann"}`} {
-		ok, err := eng.Validate(plan, jsontree.MustParse(doc))
+		ok, err := eng.Validate(context.Background(), plan, jsontree.MustParse(doc))
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestIndexFactSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generator bug: (%v, %q): %v", fe.lang, src, err)
 		}
-		ok, err := e.Validate(p, tr)
+		ok, err := e.Validate(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("validate (%v, %q): %v", fe.lang, src, err)
 		}
@@ -136,7 +137,7 @@ func TestIndexFactSoundness(t *testing.T) {
 				}
 			}
 		}
-		nodes, err := e.Eval(p, tr)
+		nodes, err := e.Eval(context.Background(), p, tr)
 		if err != nil {
 			t.Fatalf("eval (%v, %q): %v", fe.lang, src, err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -39,7 +40,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedExpected, err := sharedWant.eval(shared)
+	sharedExpected, err := e.Eval(context.Background(), sharedWant, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	works := make([]work, goroutines)
 	for i := range works {
 		tr := jsontree.FromValue(gen.Document(r, opts))
-		expected, err := sharedWant.eval(tr)
+		expected, err := e.Eval(context.Background(), sharedWant, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 			defer wg.Done()
 			w := works[g]
 			for it := 0; it < iterations; it++ {
-				got, err := e.Eval(plan, w.tree)
+				got, err := e.Eval(context.Background(), plan, w.tree)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d: %v", g, it, err)
 					return
@@ -78,7 +79,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 				// Interleave evaluations over the tree shared by all
 				// goroutines: trees are immutable and must tolerate
 				// concurrent readers.
-				got, err = e.Eval(plan, shared)
+				got, err = e.Eval(context.Background(), plan, shared)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d (shared): %v", g, it, err)
 					return
@@ -100,7 +101,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 // TestConcurrentCompileEvictAndBatch stresses the cache's concurrency:
 // many goroutines compile an overlapping working set larger than the
 // cache (forcing concurrent evictions and recompiles) while others run
-// batch and NDJSON evaluations. Counters must balance afterwards.
+// validation loops and NDJSON evaluations. Counters must balance afterwards.
 func TestConcurrentCompileEvictAndBatch(t *testing.T) {
 	e := New(Options{PlanCacheSize: 8, Workers: 4})
 	sources := make([]string, 24)
@@ -128,7 +129,7 @@ func TestConcurrentCompileEvictAndBatch(t *testing.T) {
 					errs <- fmt.Errorf("cache returned plan for %q when asked for %q", p.Source(), src)
 					return
 				}
-				if _, err := e.Eval(p, tr); err != nil {
+				if _, err := e.Eval(context.Background(), p, tr); err != nil {
 					errs <- err
 					return
 				}
@@ -144,12 +145,12 @@ func TestConcurrentCompileEvictAndBatch(t *testing.T) {
 			trees[i] = jsontree.MustParse(fmt.Sprintf(`{"k1": %d}`, i))
 		}
 		for i := 0; i < 20; i++ {
-			verdicts, err := e.ValidateBatch(p, trees)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for j, ok := range verdicts {
+			for j, tr := range trees {
+				ok, err := e.Validate(context.Background(), p, tr)
+				if err != nil {
+					errs <- err
+					return
+				}
 				if ok != (j >= 5) {
 					errs <- fmt.Errorf("batch verdict %d = %v under concurrency", j, ok)
 					return

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestSemanticUnsatAllFrontEnds(t *testing.T) {
 			if v := p.SemanticVerdict(); v != VerdictUnsat {
 				t.Fatalf("verdict = %q, want %q", v, VerdictUnsat)
 			}
-			ok, err := e.Validate(p, tree)
+			ok, err := e.Validate(context.Background(), p, tree)
 			if err != nil || ok {
 				t.Fatalf("Validate = %v, %v; want false, nil", ok, err)
 			}
@@ -80,7 +81,7 @@ func TestSemanticSatVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := e.Validate(p, tree)
+	ok, err := e.Validate(context.Background(), p, tree)
 	if err != nil || !ok {
 		t.Fatalf("Validate = %v, %v; want true, nil", ok, err)
 	}
@@ -228,7 +229,7 @@ func TestSemanticSchemaUnsat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := e.Validate(p, tree)
+	ok, err := e.Validate(context.Background(), p, tree)
 	if err != nil || !ok {
 		t.Fatalf("Validate on a nonconforming doc = %v, %v; want true, nil", ok, err)
 	}
@@ -287,7 +288,7 @@ func TestSemanticBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := e.Validate(p, tree); err != nil || ok {
+	if ok, err := e.Validate(context.Background(), p, tree); err != nil || ok {
 		t.Fatalf("Validate = %v, %v; want false, nil", ok, err)
 	}
 }
@@ -314,7 +315,7 @@ func TestCompileSemanticCacheHitZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, err := e.Validate(p, tree)
+		ok, err := e.Validate(context.Background(), p, tree)
 		if err != nil || !ok {
 			t.Fatalf("validate: %v %v", ok, err)
 		}

@@ -468,7 +468,7 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 	}
 	switch req.Mode {
 	case "", "find":
-		ids, indexed, err := s.store.FindTraced(ctx, p, tr)
+		ids, indexed, err := s.store.Find(ctx, p, tr)
 		if err != nil {
 			writeError(w, queryErrStatus(err), "%v", err)
 			return
@@ -479,7 +479,7 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 			"indexed": indexed,
 		})
 	case "select":
-		sels, indexed, err := s.store.SelectTraced(ctx, p, tr)
+		sels, indexed, err := s.store.Select(ctx, p, tr)
 		if err != nil {
 			writeError(w, queryErrStatus(err), "%v", err)
 			return
@@ -581,9 +581,9 @@ func (s *server) validate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "give id or doc")
 		return
 	}
-	valid, err := s.eng.Validate(p, t)
+	valid, err := s.eng.Validate(r.Context(), p, t)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, queryErrStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"valid": valid})

@@ -97,13 +97,8 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 		e.Counter(promPrefix+"wal_bytes_total", "WAL bytes framed since open.", d.WALBytes)
 		e.Counter(promPrefix+"wal_syncs_total", "WAL fsyncs issued since open.", d.WALSyncs)
 		e.Gauge(promPrefix+"wal_segment_records", "Records across active WAL segments: the replay debt a crash now would incur.", float64(d.WALSegmentRecords))
-		e.Counter(promPrefix+"snapshots_total", "Snapshot attempts since open.", d.Snapshots)
+		e.Counter(promPrefix+"snapshots_total", "Snapshots (segment builds) completed since open.", d.Snapshots)
 		e.Counter(promPrefix+"snapshot_errors_total", "Failed snapshot attempts since open.", d.SnapshotErrors)
-		walFailed := uint64(0)
-		if d.LastError != "" {
-			walFailed = 1
-		}
-		e.Gauge(promPrefix+"wal_failed", "1 when a sticky WAL error has the store refusing writes.", float64(walFailed))
 		degraded := uint64(0)
 		if d.Degraded {
 			degraded = 1
@@ -123,7 +118,6 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 		e.Gauge(promPrefix+"recovery_segments_mapped", "Shards restored at startup by mapping a segment file.", float64(rec.SegmentsMapped))
 		e.Gauge(promPrefix+"recovery_segment_docs", "Documents served from segments mapped at startup.", float64(rec.SegmentDocs))
 		e.Gauge(promPrefix+"recovery_invalid_segments", "Torn or corrupt segment files skipped at startup in favor of an older generation.", float64(rec.InvalidSegments))
-		e.Gauge(promPrefix+"recovery_snapshot_docs", "Documents loaded from legacy snapshots at startup.", float64(rec.SnapshotDocs))
 		e.Gauge(promPrefix+"recovery_wal_records_replayed", "WAL records replayed at startup.", float64(rec.WALRecordsReplayed))
 		e.Gauge(promPrefix+"recovery_torn_tails", "Torn WAL tails truncated at startup.", float64(rec.TornTails))
 	}

@@ -123,7 +123,6 @@ func TestMetricsExposition(t *testing.T) {
 		"jsonstored_plan_cache_entries",
 		"jsonstored_wal_appends_total",
 		"jsonstored_wal_syncs_total",
-		"jsonstored_wal_failed",
 		"jsonstored_segments",
 		"jsonstored_segment_bytes",
 		"jsonstored_segment_docs",

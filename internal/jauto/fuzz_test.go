@@ -10,6 +10,7 @@ package jauto_test
 // imports jauto) without an import cycle.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -70,14 +71,14 @@ func FuzzJNLSat(f *testing.F) {
 		}
 		if ok {
 			tree := jsontree.FromValue(w)
-			valid, err := eng.Validate(plan, tree)
+			valid, err := eng.Validate(context.Background(), plan, tree)
 			if err != nil {
 				t.Fatalf("Validate(%q, witness): %v", src, err)
 			}
 			if !valid {
 				t.Fatalf("SAT witness for %q rejected by the engine: %s", src, w)
 			}
-			if _, err := eng.Eval(plan, tree); err != nil {
+			if _, err := eng.Eval(context.Background(), plan, tree); err != nil {
 				t.Fatalf("Eval(%q, witness): %v", src, err)
 			}
 			return
@@ -89,7 +90,7 @@ func FuzzJNLSat(f *testing.F) {
 		opts := gen.DocOptions{Fanout: 3, Depth: 3, Keys: 12, ArrayBias: 40, ValueRange: 20}
 		for i := 0; i < fuzzUnsatTrees; i++ {
 			tree := jsontree.FromValue(gen.Document(r, opts))
-			valid, err := eng.Validate(plan, tree)
+			valid, err := eng.Validate(context.Background(), plan, tree)
 			if err != nil {
 				t.Fatalf("Validate(%q, random doc): %v", src, err)
 			}

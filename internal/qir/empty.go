@@ -7,9 +7,9 @@ import (
 )
 
 // The constant-empty program: the physical plan a semantic pass
-// compiles a provably unsatisfiable query to. Match and Eval answer
-// without visiting a single node, and Describe renders the proof
-// verdict so explanations show why no data was touched.
+// compiles a provably unsatisfiable query to. Match and EvalAppend
+// answer without visiting a single node, and Describe renders the
+// proof verdict so explanations show why no data was touched.
 
 // emptyOp is the constant-false predicate of a semantically empty
 // program.
@@ -21,8 +21,8 @@ func (o emptyOp) describe(sb *strings.Builder, depth int) {
 }
 
 // Empty returns a program over q whose Match is constantly false and
-// whose Eval selects nothing — the compilation target for queries a
-// semantic pass proved unsatisfiable. reason labels the proof (e.g.
+// whose EvalAppend selects nothing — the compilation target for
+// queries a semantic pass proved unsatisfiable. reason labels the proof (e.g.
 // "unsat", "schema_unsat") and shows up in Describe.
 func Empty(q *Query, reason string) *Program {
 	return &Program{query: q, pred: emptyOp{reason: reason}}

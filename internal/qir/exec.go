@@ -54,8 +54,8 @@ type Program struct {
 	sel   enumOp // non-nil iff query.Sel != nil
 	memos int    // number of memo tables a state must hold
 
-	// pool recycles evaluation states across Match/Eval calls. States
-	// are program-specific (the memo table count is fixed at compile
+	// pool recycles evaluation states across Match/EvalAppend calls.
+	// States are program-specific (the memo table count is fixed at compile
 	// time), so the pool lives on the Program rather than the package.
 	pool sync.Pool
 }
@@ -115,88 +115,47 @@ func MustCompile(q *Query) *Program {
 func (p *Program) Query() *Query { return p.query }
 
 // Match reports whether the tree's root satisfies the query's match
-// predicate (the engine's Validate semantics). Steady-state Match
-// performs no allocations: all evaluation state comes from the
-// program's pool.
-func (p *Program) Match(t *jsontree.Tree) bool {
+// predicate (the engine's Validate semantics), with cooperative
+// cancellation: the executor polls ctx at its recursion checkpoints
+// (closure steps, definition entries, closure-enumeration visits —
+// every cancelCheckEvery of them) and returns ctx.Err() once it has
+// fired. The checkpoints are armed only for a ctx that can fire
+// (ctx.Done() != nil); context.Background evaluates unchecked, and
+// that steady-state path performs no allocations: all evaluation
+// state comes from the program's pool.
+func (p *Program) Match(ctx context.Context, t *jsontree.Tree) (ok bool, err error) {
 	st := p.acquire(t)
-	v := p.pred.eval(st, t.Root())
-	p.release(st)
-	return v
-}
-
-// MatchCtx is Match with cooperative cancellation: the executor polls
-// ctx at its recursion checkpoints (closure steps, definition entries,
-// closure-enumeration visits — every cancelCheckEvery of them) and
-// returns ctx.Err() when it has fired. A nil ctx is exactly Match:
-// the zero-overhead, zero-allocation fast path.
-func (p *Program) MatchCtx(ctx context.Context, t *jsontree.Tree) (ok bool, err error) {
-	if ctx == nil {
-		return p.Match(t), nil
+	if st.arm(ctx) {
+		defer p.disarm(st, &err)
+		return p.pred.eval(st, t.Root()), nil
 	}
-	st := p.acquire(t)
-	st.ctx = ctx
-	defer func() {
-		st.ctx, st.steps = nil, 0
-		p.release(st)
-		if r := recover(); r != nil {
-			c, isCancel := r.(cancelErr)
-			if !isCancel {
-				panic(r)
-			}
-			ok, err = false, c.err
-		}
-	}()
-	return p.pred.eval(st, t.Root()), nil
+	ok = p.pred.eval(st, t.Root())
+	p.release(st)
+	return ok, nil
 }
 
-// Eval computes the query's node-selection semantics: the nodes
-// reachable via the selection path when one is set, otherwise all
-// nodes satisfying the match predicate. Results are in ascending node
-// order, matching the reference evaluators. The returned slice is
-// freshly allocated; EvalAppend is the allocation-free variant for
-// callers that reuse a buffer.
-func (p *Program) Eval(t *jsontree.Tree) []jsontree.NodeID {
-	return p.EvalAppend(t, nil)
-}
-
-// EvalAppend is Eval appending into out (which may be nil), returning
-// the extended slice — the strconv.AppendInt convention. A caller
-// reusing its buffer across calls (out = prog.EvalAppend(t, out[:0]))
+// EvalAppend computes the query's node-selection semantics — the
+// nodes reachable via the selection path when one is set, otherwise
+// all nodes satisfying the match predicate — appending them to out
+// (which may be nil) in ascending node order, matching the reference
+// evaluators; the strconv.AppendInt convention. A caller reusing its
+// buffer across calls (out, _ = prog.EvalAppend(ctx, t, out[:0]))
 // evaluates without allocating once the buffer has grown to the
-// working-set size.
-func (p *Program) EvalAppend(t *jsontree.Tree, out []jsontree.NodeID) []jsontree.NodeID {
+// working-set size. Cancellation is as for Match; a cancelled
+// evaluation returns nil, ctx.Err().
+func (p *Program) EvalAppend(ctx context.Context, t *jsontree.Tree, out []jsontree.NodeID) (res []jsontree.NodeID, err error) {
 	st := p.acquire(t)
+	if st.arm(ctx) {
+		defer p.disarm(st, &err)
+		return p.evalAppendWith(st, t, out), nil
+	}
 	out = p.evalAppendWith(st, t, out)
 	p.release(st)
-	return out
+	return out, nil
 }
 
-// EvalAppendCtx is EvalAppend with cooperative cancellation (see
-// MatchCtx); it returns nil, ctx.Err() once the context fires. A nil
-// ctx is exactly EvalAppend.
-func (p *Program) EvalAppendCtx(ctx context.Context, t *jsontree.Tree, out []jsontree.NodeID) (res []jsontree.NodeID, err error) {
-	if ctx == nil {
-		return p.EvalAppend(t, out), nil
-	}
-	st := p.acquire(t)
-	st.ctx = ctx
-	defer func() {
-		st.ctx, st.steps = nil, 0
-		p.release(st)
-		if r := recover(); r != nil {
-			c, isCancel := r.(cancelErr)
-			if !isCancel {
-				panic(r)
-			}
-			res, err = nil, c.err
-		}
-	}()
-	return p.evalAppendWith(st, t, out), nil
-}
-
-// evalAppendWith is the shared body of EvalAppend and EvalAppendCtx;
-// the caller owns st's acquire/release.
+// evalAppendWith is EvalAppend's body; the caller owns st's
+// acquire/release.
 func (p *Program) evalAppendWith(st *state, t *jsontree.Tree, out []jsontree.NodeID) []jsontree.NodeID {
 	n := t.Len()
 	if p.sel != nil {
@@ -678,8 +637,8 @@ const (
 // tree it ever evaluated.
 const regexMemoCap = 1 << 12
 
-// state is the mutable evaluation state of one Match/Eval call. States
-// are pooled on the Program and reused: memo slices keep their backing
+// state is the mutable evaluation state of one Match/EvalAppend call.
+// States are pooled on the Program and reused: memo slices keep their backing
 // arrays between evaluations (re-zeroed per tree), the regex memo is a
 // genuine cross-tree cache (a regex verdict depends only on the regex
 // and the string, not the tree), and visited scratch sets recycle
@@ -692,7 +651,7 @@ type state struct {
 	regexLen   int // total entries across the inner maps, against regexMemoCap
 
 	// scratch is the freelist of visited sets for closure enumeration
-	// (and Eval's selection marks). A freelist rather than a single set
+	// (and EvalAppend's selection marks). A freelist rather than a single set
 	// because enumerations nest: a closure inside a filter inside
 	// another closure needs its own marks.
 	scratch []*visitSet
@@ -700,10 +659,11 @@ type state struct {
 	// nodeBuf is the sort buffer of the uniqueness check.
 	nodeBuf []jsontree.NodeID
 
-	// ctx arms cooperative cancellation for the *Ctx entry points; nil
-	// (the Match/Eval fast paths) makes step a single branch. steps
-	// counts checkpoints so ctx is polled once per cancelCheckEvery.
+	// done is the armed context's Done channel; nil (an unarmed
+	// evaluation, see arm) makes step a single branch. steps counts
+	// checkpoints so ctx is polled once per cancelCheckEvery.
 	ctx   context.Context
+	done  <-chan struct{}
 	steps int
 }
 
@@ -715,15 +675,42 @@ type state struct {
 const cancelCheckEvery = 1024
 
 // cancelErr carries ctx.Err() out of the operator recursion as a
-// panic; the *Ctx entry points recover it. A panic rather than
-// threaded error returns keeps the operator signatures — and the
-// zero-allocation nil-ctx paths — untouched.
+// panic; disarm recovers it. A panic rather than threaded error
+// returns keeps the operator signatures — and the zero-allocation
+// unarmed path — untouched.
 type cancelErr struct{ err error }
+
+// arm enables the cancellation checkpoints for ctx and reports whether
+// it did. A context that can never fire (context.Background or TODO,
+// whose Done channel is nil) leaves the state unarmed.
+func (st *state) arm(ctx context.Context) bool {
+	done := ctx.Done()
+	if done == nil {
+		return false
+	}
+	st.ctx, st.done = ctx, done
+	return true
+}
+
+// disarm ends an armed evaluation: it returns st to the pool and turns
+// a cancellation panic into *err. It must be the deferred call itself
+// (recover only stops a panic there).
+func (p *Program) disarm(st *state, err *error) {
+	st.ctx, st.done, st.steps = nil, nil, 0
+	p.release(st)
+	if r := recover(); r != nil {
+		c, ok := r.(cancelErr)
+		if !ok {
+			panic(r)
+		}
+		*err = c.err
+	}
+}
 
 // step is the cancellation checkpoint, inlined into the recursion
 // sites that bound how long evaluation can run between polls.
 func (st *state) step() {
-	if st.ctx == nil {
+	if st.done == nil {
 		return
 	}
 	st.steps++

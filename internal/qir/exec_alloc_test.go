@@ -1,6 +1,7 @@
 package qir
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -16,6 +17,10 @@ import (
 // allocate at all. GC is disabled for the measurement so sync.Pool
 // cannot be drained mid-run (a pool drop is a re-warm, not a leak,
 // but it would make the assertion flaky).
+
+// bg is the unarmed context: context.Background can never fire, so
+// the executor skips its cancellation checkpoints entirely.
+var bg = context.Background()
 
 // allocProbeQuery exercises every pooled structure at once: a closure
 // (memo table + visited scratch on the enum side), a named recursive
@@ -56,9 +61,9 @@ func measureAllocs(t *testing.T, f func()) float64 {
 func TestMatchZeroAllocs(t *testing.T) {
 	p := MustCompile(allocProbeQuery())
 	tree := allocProbeTree()
-	want := p.Match(tree)
+	want := matches(p, tree)
 	if got := measureAllocs(t, func() {
-		if p.Match(tree) != want {
+		if matches(p, tree) != want {
 			t.Fatal("verdict changed between runs")
 		}
 	}); got != 0 {
@@ -69,10 +74,10 @@ func TestMatchZeroAllocs(t *testing.T) {
 func TestEvalAppendZeroAllocs(t *testing.T) {
 	p := MustCompile(allocProbeQuery())
 	tree := allocProbeTree()
-	want := len(p.Eval(tree))
+	want := len(evalAll(p, tree))
 	buf := make([]jsontree.NodeID, 0, tree.Len())
 	if got := measureAllocs(t, func() {
-		buf = p.EvalAppend(tree, buf[:0])
+		buf, _ = p.EvalAppend(bg, tree, buf[:0])
 		if len(buf) != want {
 			t.Fatalf("selection size changed: %d, want %d", len(buf), want)
 		}
@@ -99,13 +104,13 @@ func TestEvalAppendSelectionAllocsBounded(t *testing.T) {
 	}
 	p := MustCompile(q)
 	tree := allocProbeTree()
-	want := len(p.Eval(tree))
+	want := len(evalAll(p, tree))
 	if want == 0 {
 		t.Fatal("probe selection must select something")
 	}
 	buf := make([]jsontree.NodeID, 0, tree.Len())
 	got := measureAllocs(t, func() {
-		buf = p.EvalAppend(tree, buf[:0])
+		buf, _ = p.EvalAppend(bg, tree, buf[:0])
 		if len(buf) != want {
 			t.Fatalf("selection size changed: %d, want %d", len(buf), want)
 		}
@@ -132,7 +137,7 @@ func TestPooledStateConcurrent(t *testing.T) {
 		doc += `}`
 		tree := jsontree.MustParse(doc)
 		trees = append(trees, tree)
-		want = append(want, MustCompile(allocProbeQuery()).Match(tree))
+		want = append(want, matches(MustCompile(allocProbeQuery()), tree))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -142,11 +147,11 @@ func TestPooledStateConcurrent(t *testing.T) {
 			buf := []jsontree.NodeID(nil)
 			for i := 0; i < 400; i++ {
 				k := (g + i) % len(trees)
-				if p.Match(trees[k]) != want[k] {
+				if matches(p, trees[k]) != want[k] {
 					t.Errorf("goroutine %d: verdict drifted on tree %d", g, k)
 					return
 				}
-				buf = p.EvalAppend(trees[k], buf[:0])
+				buf, _ = p.EvalAppend(bg, trees[k], buf[:0])
 			}
 		}(g)
 	}
@@ -168,7 +173,7 @@ func TestVisitSetNesting(t *testing.T) {
 	)}
 	p := MustCompile(q)
 	tree := jsontree.MustParse(`{"a":{"b":"hit"},"c":"miss"}`)
-	got := p.Eval(tree)
+	got := evalAll(p, tree)
 	// Nodes with a descendant-or-self "hit": root (0), a (1), b (2).
 	if !sameIDs(got, ids(0, 1, 2)) {
 		t.Fatalf("nested closure enumeration = %v, want [0 1 2]", got)

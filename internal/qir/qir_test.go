@@ -1,6 +1,9 @@
 package qir
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,12 +14,24 @@ import (
 
 func mustEval(t *testing.T, q *Query, doc string) []jsontree.NodeID {
 	t.Helper()
-	return MustCompile(q).Eval(jsontree.MustParse(doc))
+	return evalAll(MustCompile(q), jsontree.MustParse(doc))
 }
 
 func mustMatch(t *testing.T, q *Query, doc string) bool {
 	t.Helper()
-	return MustCompile(q).Match(jsontree.MustParse(doc))
+	return matches(MustCompile(q), jsontree.MustParse(doc))
+}
+
+// evalAll and matches run a program under context.Background: the
+// unarmed evaluation, which can never fail.
+func evalAll(p *Program, t *jsontree.Tree) []jsontree.NodeID {
+	out, _ := p.EvalAppend(context.Background(), t, nil)
+	return out
+}
+
+func matches(p *Program, t *jsontree.Tree) bool {
+	ok, _ := p.Match(context.Background(), t)
+	return ok
 }
 
 func ids(ns ...int) []jsontree.NodeID {
@@ -338,4 +353,39 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestContextArming pins the two evaluation modes of one entry point:
+// a live context answers exactly like context.Background, and a
+// cancelled one aborts with its error at the next checkpoint.
+func TestContextArming(t *testing.T) {
+	p := MustCompile(&Query{Pred: Exists{
+		Path: Closure{Inner: Union{Alts: []Path{
+			KeyRe{Re: relang.MustCompile(".*")}, Slice{Lo: 0, Hi: Inf},
+		}}},
+		Inner: ValEq{Doc: jsonval.Str("hit")},
+	}})
+	var b strings.Builder
+	for i := 0; i < 4*cancelCheckEvery; i++ {
+		fmt.Fprintf(&b, `{"k%d":"miss"},`, i)
+	}
+	tree := jsontree.MustParse(`{"a":[` + b.String() + `"hit"]}`)
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for _, ctx := range []context.Context{context.Background(), live} {
+		if ok, err := p.Match(ctx, tree); !ok || err != nil {
+			t.Fatalf("Match = %v, %v; want true, nil", ok, err)
+		}
+		if got, err := p.EvalAppend(ctx, tree, nil); err != nil || len(got) == 0 {
+			t.Fatalf("EvalAppend = %v, %v; want a selection", got, err)
+		}
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ok, err := p.Match(dead, tree); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Match = %v, %v; want false, context.Canceled", ok, err)
+	}
+	if got, err := p.EvalAppend(dead, tree, nil); got != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled EvalAppend = %v, %v; want nil, context.Canceled", got, err)
+	}
 }

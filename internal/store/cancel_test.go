@@ -3,8 +3,8 @@ package store
 // cancel_test.go: cooperative query cancellation. A context that
 // expires mid-query must abort the fan-out promptly (checkpoints in
 // the per-shard loops and inside the executor), surface ctx.Err() to
-// the caller, bump the cancellation counter — and a nil context must
-// keep the exact pre-cancellation fast path.
+// the caller, bump the cancellation counter — and context.Background
+// must keep the unchecked fast path with identical answers.
 
 import (
 	"context"
@@ -44,7 +44,7 @@ func TestFindCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := s.Stats().Queries.Cancellations
-	_, _, err := s.FindTraced(ctx, p, nil)
+	_, _, err := s.Find(ctx, p, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("find with cancelled ctx: got %v, want context.Canceled", err)
 	}
@@ -58,7 +58,7 @@ func TestSelectCancelledContext(t *testing.T) {
 	p := scanPlan(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := s.SelectTraced(ctx, p, nil)
+	_, _, err := s.Select(ctx, p, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("select with cancelled ctx: got %v, want context.Canceled", err)
 	}
@@ -76,7 +76,7 @@ func TestFindDeadlineBoundedReturn(t *testing.T) {
 	defer cancel()
 	<-ctx.Done() // deadline certainly expired
 	start := time.Now()
-	_, _, err := s.FindTraced(ctx, p, nil)
+	_, _, err := s.Find(ctx, p, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("find past deadline: got %v, want DeadlineExceeded", err)
@@ -98,24 +98,44 @@ func TestExplainHonoursContext(t *testing.T) {
 	}
 }
 
-// TestNilContextUnchanged: the nil-ctx entry points answer exactly
-// like the plain ones — same results, no cancellation bookkeeping.
-func TestNilContextUnchanged(t *testing.T) {
+// TestBackgroundContextMatchesLive: the one entry point per mode
+// answers identically whether its checkpoints are unarmed
+// (context.Background) or armed by a live context, on both access
+// paths, and neither records a cancellation.
+func TestBackgroundContextMatchesLive(t *testing.T) {
 	s := cancelStore(t, 500)
-	p := scanPlan(t, s)
-	ids, _, err := s.Find(p)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	indexed, err := s.Engine().Compile(engine.LangMongoFind, `{"n":7}`)
 	if err != nil {
-		t.Fatalf("find: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	ids2, _, err := s.FindTraced(nil, p, nil)
-	if err != nil {
-		t.Fatalf("find traced nil ctx: %v", err)
-	}
-	if len(ids) != 500 || len(ids2) != 500 {
-		t.Fatalf("scan matched %d/%d docs, want 500", len(ids), len(ids2))
+	for _, p := range []*engine.Plan{scanPlan(t, s), indexed} {
+		ids, _, err := s.Find(context.Background(), p, nil)
+		if err != nil {
+			t.Fatalf("find: %v", err)
+		}
+		liveIDs, _, err := s.Find(live, p, nil)
+		if err != nil {
+			t.Fatalf("find with live ctx: %v", err)
+		}
+		if len(ids) == 0 || !sameIDs(ids, liveIDs) {
+			t.Fatalf("%s: Background find %d ids, live %d", p.Source(), len(ids), len(liveIDs))
+		}
+		sels, _, err := s.Select(context.Background(), p, nil)
+		if err != nil {
+			t.Fatalf("select: %v", err)
+		}
+		liveSels, _, err := s.Select(live, p, nil)
+		if err != nil {
+			t.Fatalf("select with live ctx: %v", err)
+		}
+		if len(sels) == 0 || !sameSelections(sels, liveSels) {
+			t.Fatalf("%s: Background select %d docs, live %d", p.Source(), len(sels), len(liveSels))
+		}
 	}
 	if s.Stats().Queries.Cancellations != 0 {
-		t.Fatal("nil-ctx queries recorded cancellations")
+		t.Fatal("uncancelled queries recorded cancellations")
 	}
 }
 
@@ -126,11 +146,11 @@ func TestLiveContextCompletes(t *testing.T) {
 	p := scanPlan(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	ids, _, err := s.FindTraced(ctx, p, nil)
+	ids, _, err := s.Find(ctx, p, nil)
 	if err != nil || len(ids) != 500 {
 		t.Fatalf("find with live ctx: %d ids, err %v", len(ids), err)
 	}
-	sels, _, err := s.SelectTraced(ctx, p, nil)
+	sels, _, err := s.Select(ctx, p, nil)
 	if err != nil || len(sels) != 500 {
 		t.Fatalf("select with live ctx: %d selections, err %v", len(sels), err)
 	}

@@ -10,6 +10,7 @@ package store
 // never a panic.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -49,13 +50,13 @@ func TestCloseRacesInFlightQueries(t *testing.T) {
 				default:
 				}
 				if g%2 == 0 {
-					ids, _, err := s.Find(p)
+					ids, _, err := s.Find(context.Background(), p, nil)
 					if err == nil && len(ids) != 3000 {
 						t.Errorf("find mid-close returned %d ids, want 3000 or an error", len(ids))
 						return
 					}
 				} else {
-					sels, _, err := s.Select(p)
+					sels, _, err := s.Select(context.Background(), p, nil)
 					if err == nil && len(sels) != 3000 {
 						t.Errorf("select mid-close returned %d selections, want 3000 or an error", len(sels))
 						return

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -107,17 +108,27 @@ func sameSelections(a, b []Selection) bool {
 	return true
 }
 
+// allDocs snapshots every stored document, serially and outside the
+// query pipeline — the reference evaluators' document source.
+func allDocs(t *testing.T, s *Store) []docPair {
+	t.Helper()
+	var out []docPair
+	for i, sh := range s.shards {
+		var err error
+		if out, _, err = sh.collectCandidates(nil, false, out, nil, i); err != nil {
+			t.Fatalf("reference snapshot: %v", err)
+		}
+	}
+	return out
+}
+
 // referenceFind computes Find's answer with the retired front-end
 // evaluators (Plan.ValidateReference) over every stored document — the
 // old-evaluator oracle the QIR executor must match node-for-node.
 func referenceFind(t *testing.T, s *Store, p *engine.Plan, src string) []string {
 	t.Helper()
 	var ids []string
-	pairs, err := s.candidates(nil, false)
-	if err != nil {
-		t.Fatalf("reference candidates: %v", err)
-	}
-	for _, pair := range pairs {
+	for _, pair := range allDocs(t, s) {
 		ok, err := p.ValidateReference(pair.tree)
 		if err != nil {
 			t.Fatalf("reference validate(%q): %v", src, err)
@@ -135,11 +146,7 @@ func referenceFind(t *testing.T, s *Store, p *engine.Plan, src string) []string 
 func referenceSelect(t *testing.T, s *Store, p *engine.Plan, src string) []Selection {
 	t.Helper()
 	var out []Selection
-	pairs, err := s.candidates(nil, false)
-	if err != nil {
-		t.Fatalf("reference candidates: %v", err)
-	}
-	for _, pair := range pairs {
+	for _, pair := range allDocs(t, s) {
 		nodes, err := p.EvalReference(pair.tree)
 		if err != nil {
 			t.Fatalf("reference eval(%q): %v", src, err)
@@ -169,7 +176,7 @@ func runStoreDifferential(t *testing.T, seed int64, lang engine.Language, source
 		if err != nil {
 			t.Fatalf("generator bug: %q does not compile: %v", src, err)
 		}
-		gotF, _, err := s.Find(p)
+		gotF, _, err := s.Find(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("Find(%q): %v", src, err)
 		}
@@ -185,7 +192,7 @@ func runStoreDifferential(t *testing.T, seed int64, lang engine.Language, source
 			t.Fatalf("pair %d: QIR Find disagrees with the old evaluator on %q\nqir:    %v\noracle: %v",
 				i, src, gotF, oracleF)
 		}
-		gotS, _, err := s.Select(p)
+		gotS, _, err := s.Select(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("Select(%q): %v", src, err)
 		}
@@ -206,7 +213,7 @@ func runStoreDifferential(t *testing.T, seed int64, lang engine.Language, source
 		// actually produced, and results never exceed candidates.
 		if i%5 == 0 {
 			for _, mode := range []string{"find", "select"} {
-				ex, err := s.Explain(nil, p, mode)
+				ex, err := s.Explain(context.Background(), p, mode)
 				if err != nil {
 					t.Fatalf("Explain(%q, %s): %v", src, mode, err)
 				}

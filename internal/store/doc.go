@@ -10,12 +10,19 @@
 // each shard owns one pathIndex — whose dictionary is also the shard's
 // document storage — guarded by one RWMutex. Writers (Put, Delete,
 // bulk NDJSON ingest) lock only their document's shard, so unrelated
-// writes proceed in parallel; queries fan out across shards on a
-// bounded worker pool (Options.QueryWorkers), each worker taking the
-// shard read lock just long enough to snapshot candidate (id, tree)
-// pairs and evaluating outside the lock — trees are immutable, so
-// evaluation never races with writers — before the per-shard results
-// merge into one deterministically sorted answer.
+// writes proceed in parallel.
+//
+// Every query — Find and Select (the document-matching and
+// node-selection modes), the FindScan/SelectScan reference scans and
+// Explain — runs one pipeline, parameterised by mode: per shard, on a
+// bounded worker pool (Options.QueryWorkers), collect the candidate
+// (id, tree) pairs under the shard read lock, evaluate them outside
+// the lock — trees are immutable, so evaluation never races with
+// writers — and merge the per-shard answers into one deterministically
+// sorted result. The shard is the only unit of parallelism. Find and
+// Select take a context.Context, checkpointed between documents and
+// inside the executor, and an optional trace recorder (nil on the
+// untraced path).
 //
 // # The inverted path index
 //
@@ -64,7 +71,7 @@
 // actual cardinalities; the estimate provably bounds the candidate
 // count.
 //
-// # Durability: write-ahead log and snapshot recovery
+// # Durability: write-ahead log and segment recovery
 //
 // New builds an in-memory store; Open adds durability under
 // Options.DataDir. Every put and delete is framed (length-prefixed,
@@ -72,13 +79,13 @@
 // is held — so log order equals apply order — and acknowledged only
 // once the configured FsyncPolicy holds: always (group-commit fsync
 // per acknowledgement), interval (background timer), or off (OS
-// write-back; Close still flushes and syncs). Background snapshotting
-// rotates a shard's WAL and writes its contents with
-// write-temp-then-rename atomicity; recovery loads the newest
-// snapshot that validates end-to-end, replays the WAL generations
-// after it, truncates torn tails, and rebuilds the inverted index by
-// re-inserting through the ordinary in-memory path. Stats exposes the
-// WAL, snapshot and recovery counters; crash-recovery tests in this
+// write-back; Close still flushes and syncs). A snapshot rotates a
+// shard's WAL and builds an immutable, mmap'd segment file with
+// write-temp-then-rename atomicity; recovery maps the newest segment
+// that validates end-to-end, replays the WAL generations after it
+// into the memtable and truncates torn tails. A directory holding the
+// retired snap-*.snap format is refused. Stats exposes the WAL,
+// snapshot and recovery counters; crash-recovery tests in this
 // package pin a reopened store node-for-node to an in-memory
 // reference driven through the same mutations.
 //

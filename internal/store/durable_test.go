@@ -9,6 +9,7 @@ package store
 // scan, reusing the differential harness's generators.
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -153,7 +154,7 @@ func diffQueries(t *testing.T, r *rand.Rand, recovered, reference *Store, querie
 		if err != nil {
 			t.Fatalf("generator bug: %q: %v", src, err)
 		}
-		got, wasIndexed, err := recovered.Find(p)
+		got, wasIndexed, err := recovered.Find(context.Background(), p, nil)
 		if err != nil {
 			t.Fatalf("Find(%q): %v", src, err)
 		}
@@ -255,7 +256,7 @@ func TestDurableCleanRestart(t *testing.T) {
 	defer s2.Close()
 	compareStores(t, s2, ref)
 	rs := s2.Stats().Durability.Recovery
-	if rs.WALRecordsReplayed == 0 || rs.TornTails != 0 || rs.SnapshotsLoaded != 0 {
+	if rs.WALRecordsReplayed == 0 || rs.TornTails != 0 {
 		t.Fatalf("unexpected recovery stats: %+v", rs)
 	}
 	// The auto-ID sequence must not collide with recovered bulk IDs.

@@ -6,6 +6,7 @@ package store_test
 // executes these.
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -37,7 +38,7 @@ func ExampleStore_Find() {
 	if err != nil {
 		panic(err)
 	}
-	ids, indexed, err := s.Find(plan)
+	ids, indexed, err := s.Find(context.Background(), plan, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -116,7 +117,7 @@ func TestTombstoneCompactionAcrossSnapshotRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, _, err := s2.Find(p)
+		ids, _, err := s2.Find(context.Background(), p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -56,7 +57,7 @@ func BenchmarkStorePlannerSelective(b *testing.B) {
 		b.Run(fmt.Sprintf("indexed/docs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ids, indexed, err := s.Find(plan)
+				ids, indexed, err := s.Find(context.Background(), plan, nil)
 				if err != nil || !indexed || len(ids) != want {
 					b.Fatalf("got %d docs (indexed=%v err=%v), want %d", len(ids), indexed, err, want)
 				}
@@ -85,7 +86,7 @@ func BenchmarkStorePlannerUnselective(b *testing.B) {
 		b.Run(fmt.Sprintf("planner-scan/docs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ids, indexed, err := s.Find(plan)
+				ids, indexed, err := s.Find(context.Background(), plan, nil)
 				if err != nil || indexed || len(ids) != n {
 					b.Fatalf("got %d docs (indexed=%v err=%v), want scan of %d", len(ids), indexed, err, n)
 				}
@@ -102,13 +103,9 @@ func BenchmarkStorePlannerUnselective(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pairs, cerr := s.candidates(terms, true)
-				if cerr != nil {
-					b.Fatal(cerr)
-				}
-				ids, err := s.findOver(plan, pairs)
-				if err != nil || len(ids) != n {
-					b.Fatalf("got %d docs (err %v), want %d", len(ids), err, n)
+				res, _, err := s.execute(context.Background(), plan, modeFind, terms, true, nil)
+				if err != nil || len(res.ids) != n {
+					b.Fatalf("got %d docs (err %v), want %d", len(res.ids), err, n)
 				}
 			}
 		})
@@ -213,7 +210,7 @@ func BenchmarkStoreFanout(b *testing.B) {
 				defer s.setQueryWorkers(s.setQueryWorkers(workers))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ids, _, err := s.Find(plan)
+					ids, _, err := s.Find(context.Background(), plan, nil)
 					if err != nil || len(ids) == 0 {
 						b.Fatalf("find: %d ids, err %v", len(ids), err)
 					}

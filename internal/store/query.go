@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +26,9 @@ type Selection struct {
 }
 
 // batchCancelDocs is how often (in documents) the per-shard evaluation
-// loops poll a non-nil ctx between documents; must be a power of two.
-// It mirrors the engine's batch poll interval so cancellation latency
-// is bounded the same way on both evaluation paths.
+// loop polls ctx between documents; must be a power of two. Within a
+// single document the executor's own checkpoints bound the latency,
+// so this poll only matters for shards of tiny documents.
 const batchCancelDocs = 64
 
 // docPair is a snapshot of one stored document.
@@ -36,11 +37,34 @@ type docPair struct {
 	tree *jsontree.Tree
 }
 
+// queryMode selects what the query pipeline computes.
+type queryMode uint8
+
+const (
+	// modeFind evaluates the plan's boolean semantics (engine.Validate)
+	// per document, answering sorted IDs.
+	modeFind queryMode = 0
+	// modeSelect evaluates the node-selection semantics
+	// (engine.EvalAppend), answering Selections sorted by ID.
+	modeSelect queryMode = 1 << iota
+	// modeScan (combined with either) bypasses the semantic
+	// short-circuit, the planner and the index: the reference full scan
+	// the differential tests compare against.
+	modeScan
+)
+
+// answer is one query's merged result: ids in find mode, sels in
+// select mode.
+type answer struct {
+	ids  []string
+	sels []Selection
+}
+
 // execInfo aggregates one execution's counter inputs — parallelism,
-// intersection work, candidate count — returned up to the Find/Select
-// entry points, which alone bump the store's counters. Explain runs
-// the identical pipeline and simply discards it, so explaining a
-// query never disturbs the statistics.
+// intersection work, candidate count — returned up to query, which
+// alone bumps the store's counters. Explain runs the identical
+// pipeline and simply discards it, so explaining a query never
+// disturbs the statistics.
 type execInfo struct {
 	workers    int
 	steps      uint64
@@ -128,29 +152,13 @@ func postingLengths(ix *pathIndex, terms []uint64) string {
 	return string(b)
 }
 
-// candidates snapshots, serially, the documents a query must evaluate
-// across all shards. The fan-out paths below collect per shard on the
-// worker pool instead; this entry point remains for the forced-access
-// benchmarks and the differential tests' reference scans.
-func (s *Store) candidates(terms []uint64, indexed bool) ([]docPair, error) {
-	var out []docPair
-	for i, sh := range s.shards {
-		var err error
-		if out, _, err = sh.collectCandidates(terms, indexed, out, nil, i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // fanOut runs task(0 … shards-1) over at most Options.QueryWorkers
-// goroutines (work-stealing by atomic counter, like the engine's batch
-// pool) and returns how many workers ran plus the first task error.
-// With one worker — or one shard — the tasks run inline on the calling
-// goroutine: no goroutine is spawned for a query that cannot
-// parallelize. A non-nil ctx is polled before every shard task, so a
-// cancelled query stops picking up shards; in-flight tasks notice via
-// their own checkpoints.
+// goroutines (work-stealing by atomic counter) and returns how many
+// workers ran plus the first task error. With one worker — or one
+// shard — the tasks run inline on the calling goroutine: no goroutine
+// is spawned for a query that cannot parallelize. ctx is polled
+// before every shard task, so a cancelled query stops picking up
+// shards; in-flight tasks notice via their own checkpoints.
 func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int, error) {
 	n := len(s.shards)
 	workers := s.opts.QueryWorkers
@@ -159,10 +167,8 @@ func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int,
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return 1, err
-				}
+			if err := ctx.Err(); err != nil {
+				return 1, err
 			}
 			if err := task(i); err != nil {
 				return 1, err
@@ -184,14 +190,12 @@ func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int,
 				if i >= n {
 					return
 				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
+				if err := ctx.Err(); err != nil {
+					keepFirst(&firstErr, err)
+					return
 				}
 				if err := task(i); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
+					keepFirst(&firstErr, err)
 				}
 			}
 		}()
@@ -201,6 +205,13 @@ func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int,
 		return workers, *ep
 	}
 	return workers, nil
+}
+
+// keepFirst stores err in first unless an earlier error is there. Only
+// its parameter escapes, so a shard task that succeeds moves nothing
+// to the heap.
+func keepFirst(first *atomic.Pointer[error], err error) {
+	first.CompareAndSwap(nil, &err)
 }
 
 // noteFanout records one query's parallelism and intersection work.
@@ -298,22 +309,6 @@ func (s *Store) prunedFor(p *engine.Plan) map[string]bool {
 	return p.SchemaPruned()
 }
 
-// runFind executes the whole find pipeline — plan, per-shard probe,
-// validate, sorted merge — recording spans on tr (which may be nil),
-// and returns the plan and counter inputs untouched. Find/FindTraced
-// bump the counters; Explain runs this same code and does not.
-func (s *Store) runFind(ctx context.Context, p *engine.Plan, tr *trace.Trace) ([]string, QueryPlan, execInfo, error) {
-	if verdict, ok := s.semanticEmpty(p); ok {
-		return nil, s.semanticPlan(verdict, tr), execInfo{}, nil
-	}
-	sp := tr.Start(tr.Root(), "plan")
-	plan := s.planFacts(p.FindFacts(), s.prunedFor(p))
-	annotatePlanSpan(tr, sp, &plan)
-	tr.End(sp)
-	ids, info, err := s.findFanout(ctx, p, plan.probeTerms, plan.Access == AccessIndex, tr)
-	return ids, plan, info, err
-}
-
 // Find returns the IDs of all documents matching the plan's boolean
 // semantics (engine.Validate), sorted. The cost-based planner decides
 // per query between posting-list intersection and a full scan; results
@@ -322,254 +317,109 @@ func (s *Store) runFind(ctx context.Context, p *engine.Plan, tr *trace.Trace) ([
 // bounded worker pool; the per-shard matches merge into one sorted ID
 // list, so the result is deterministic whatever the interleaving. The
 // returned indexed flag reports which access path answered the query.
-func (s *Store) Find(p *engine.Plan) (ids []string, indexed bool, err error) {
-	return s.FindTraced(nil, p, nil)
+//
+// The pipeline's spans are recorded on tr; a nil tr is the production
+// fast path, where the recorder calls reduce to nil checks. Evaluation
+// checkpoints ctx cooperatively and the first ctx error aborts the
+// fan-out, returning ctx.Err() with whatever trace spans were recorded
+// so far; under context.Background the checkpoints are never armed.
+func (s *Store) Find(ctx context.Context, p *engine.Plan, tr *trace.Trace) (ids []string, indexed bool, err error) {
+	res, indexed, err := s.query(ctx, p, modeFind, tr)
+	return res.ids, indexed, err
 }
 
-// FindTraced is Find recording the pipeline's spans on tr and
-// honouring ctx. A nil tr is the production fast path: the recorder
-// calls reduce to nil checks. A nil ctx disables cancellation (the
-// allocation-free path); with a non-nil ctx, evaluation checkpoints
-// cooperatively and the first ctx error aborts the fan-out, returning
-// ctx.Err() with whatever trace spans were recorded so far.
-func (s *Store) FindTraced(ctx context.Context, p *engine.Plan, tr *trace.Trace) (ids []string, indexed bool, err error) {
-	ids, plan, info, err := s.runFind(ctx, p, tr)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+// Select runs the plan's node-selection semantics (engine.EvalAppend)
+// over the collection and returns, per document with at least one
+// selected node, the selected node IDs in evaluation order. Results
+// are sorted by document ID; tracing, cancellation, fan-out and merge
+// are as for Find. The planner consults the plan's select facts, which
+// exist only for root-anchored selection (JSONPath); all other plans
+// scan. The returned indexed flag reports the chosen access path.
+func (s *Store) Select(ctx context.Context, p *engine.Plan, tr *trace.Trace) (sels []Selection, indexed bool, err error) {
+	res, indexed, err := s.query(ctx, p, modeSelect, tr)
+	return res.sels, indexed, err
+}
+
+// FindScan is Find with the planner and index disabled: the reference
+// full scan the differential tests compare against.
+func (s *Store) FindScan(p *engine.Plan) ([]string, error) {
+	res, _, err := s.query(context.TODO(), p, modeFind|modeScan, nil)
+	return res.ids, err
+}
+
+// SelectScan is Select with the planner and index disabled.
+func (s *Store) SelectScan(p *engine.Plan) ([]Selection, error) {
+	res, _, err := s.query(context.TODO(), p, modeSelect|modeScan, nil)
+	return res.sels, err
+}
+
+// query runs one query and records it in the store's counters.
+func (s *Store) query(ctx context.Context, p *engine.Plan, mode queryMode, tr *trace.Trace) (answer, bool, error) {
+	res, plan, info, err := s.run(ctx, p, mode, tr)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		s.cancellations.Add(1)
 	}
 	if plan.Access == AccessSemantic {
 		// A compile-time proof answered the query: nothing was probed,
 		// scanned or evaluated, so none of the execution counters apply.
 		s.semShortCircuits.Add(1)
-		return ids, false, err
+		return res, false, err
 	}
 	s.notePlan(&plan)
-	indexed = plan.Access == AccessIndex
-	if indexed {
+	sel, indexed := mode&modeSelect != 0, plan.Access == AccessIndex
+	switch {
+	case sel && indexed:
+		s.selectIndexed.Add(1)
+	case sel:
+		s.selectScan.Add(1)
+	case indexed:
 		s.findIndexed.Add(1)
-	} else {
+	default:
 		s.findScan.Add(1)
 	}
 	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(false, indexed, info.candidates)
-	return ids, indexed, err
+	s.noteCandidates(sel, indexed, info.candidates)
+	return res, indexed, err
 }
 
-// FindScan is Find with the planner and index disabled: the reference
-// full scan the differential tests compare against. It fans out like
-// Find — the scan's unit of parallelism is the shard.
-func (s *Store) FindScan(p *engine.Plan) ([]string, error) {
-	s.findScan.Add(1)
-	ids, info, err := s.findFanout(nil, p, nil, false, nil)
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(false, false, info.candidates)
-	return ids, err
+// run plans the query — semantic short-circuit, then the cost-based
+// planner over the mode's facts, both skipped under modeScan — and
+// executes it, recording spans on tr (which may be nil). It returns
+// the plan and counter inputs untouched: query bumps the counters,
+// Explain runs this same code and does not.
+func (s *Store) run(ctx context.Context, p *engine.Plan, mode queryMode, tr *trace.Trace) (answer, QueryPlan, execInfo, error) {
+	plan := QueryPlan{Access: AccessScan}
+	if mode&modeScan == 0 {
+		if verdict, ok := s.semanticEmpty(p); ok {
+			return answer{}, s.semanticPlan(verdict, tr), execInfo{}, nil
+		}
+		facts := p.FindFacts()
+		if mode&modeSelect != 0 {
+			facts = p.SelectFacts()
+		}
+		sp := tr.Start(tr.Root(), "plan")
+		plan = s.planFacts(facts, s.prunedFor(p))
+		annotatePlanSpan(tr, sp, &plan)
+		tr.End(sp)
+	}
+	res, info, err := s.execute(ctx, p, mode, plan.probeTerms, plan.Access == AccessIndex, tr)
+	return res, plan, info, err
 }
 
-// lowShardBatch handles the configuration where the shard count is
-// below the worker budget (a 1-shard store on a many-core host, say):
-// shard-level fan-out could not use the budget, so the candidates are
-// collected serially — the cheap phase — and evaluated on the engine's
-// per-document batch pool instead, capped at Options.QueryWorkers so
-// the configured per-query parallelism bound holds on this path too.
-// ok is false when the normal per-shard fan-out should run.
-func (s *Store) lowShardBatch(terms []uint64, indexed bool, tr *trace.Trace) (pairs []docPair, info execInfo, ok bool, err error) {
-	if s.opts.QueryWorkers <= len(s.shards) {
-		return nil, execInfo{}, false, nil
-	}
-	steps := 0
-	for i, sh := range s.shards {
-		var st int
-		if pairs, st, err = sh.collectCandidates(terms, indexed, pairs, tr, i); err != nil {
-			return nil, execInfo{}, true, err
-		}
-		steps += st
-	}
-	info.workers = min(s.eng.Workers(), s.opts.QueryWorkers, max(len(pairs), 1))
-	info.steps = uint64(steps)
-	info.candidates = len(pairs)
-	return pairs, info, true, nil
-}
-
-// findFanout runs the find pipeline — probe, snapshot, validate —
-// per shard on the worker pool and merges the matches.
-func (s *Store) findFanout(ctx context.Context, p *engine.Plan, terms []uint64, indexed bool, tr *trace.Trace) ([]string, execInfo, error) {
-	if pairs, info, ok, err := s.lowShardBatch(terms, indexed, tr); ok {
-		if err != nil {
-			return nil, info, err
-		}
-		sp := tr.Start(tr.Root(), "eval")
-		verdicts, err := s.eng.ValidateBatchBoundedCtx(ctx, p, candidateTrees(pairs), info.workers)
-		if err != nil {
-			return nil, info, err
-		}
-		ids := make([]string, 0, len(pairs))
-		for i, match := range verdicts {
-			if match {
-				ids = append(ids, pairs[i].id)
-			}
-		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(ids)))
-			tr.End(sp)
-		}
-		msp := tr.Start(tr.Root(), "merge")
-		sort.Strings(ids)
-		tr.Attr(msp, "results", int64(len(ids)))
-		tr.End(msp)
-		return ids, info, nil
-	}
-	perShard := make([][]string, len(s.shards))
-	var candidates, steps atomic.Int64
-	workers, err := s.fanOut(ctx, func(i int) error {
-		pairs, st, cerr := s.shards[i].collectCandidates(terms, indexed, nil, tr, i)
-		if cerr != nil {
-			return cerr
-		}
-		candidates.Add(int64(len(pairs)))
-		steps.Add(int64(st))
-		sp := trace.None
-		if tr != nil {
-			sp = tr.Start(tr.Root(), "eval")
-			tr.Attr(sp, "shard", int64(i))
-		}
-		var ids []string
-		for di, pair := range pairs {
-			if ctx != nil && di&(batchCancelDocs-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			ok, verr := s.eng.ValidateCtx(ctx, p, pair.tree)
-			if verr != nil {
-				return verr
-			}
-			if ok {
-				ids = append(ids, pair.id)
-			}
-		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(ids)))
-			tr.End(sp)
-		}
-		perShard[i] = ids
-		return nil
-	})
-	info := execInfo{workers: workers, steps: uint64(steps.Load()), candidates: int(candidates.Load())}
-	if err != nil {
-		return nil, info, err
-	}
-	msp := tr.Start(tr.Root(), "merge")
-	total := 0
-	for _, ids := range perShard {
-		total += len(ids)
-	}
-	out := make([]string, 0, total)
-	for _, ids := range perShard {
-		out = append(out, ids...)
-	}
-	sort.Strings(out)
-	tr.Attr(msp, "results", int64(len(out)))
-	tr.End(msp)
-	return out, info, nil
-}
-
-// runSelect is runFind's node-selection counterpart.
-func (s *Store) runSelect(ctx context.Context, p *engine.Plan, tr *trace.Trace) ([]Selection, QueryPlan, execInfo, error) {
-	if verdict, ok := s.semanticEmpty(p); ok {
-		return nil, s.semanticPlan(verdict, tr), execInfo{}, nil
-	}
-	sp := tr.Start(tr.Root(), "plan")
-	plan := s.planFacts(p.SelectFacts(), s.prunedFor(p))
-	annotatePlanSpan(tr, sp, &plan)
-	tr.End(sp)
-	sels, info, err := s.selectFanout(ctx, p, plan.probeTerms, plan.Access == AccessIndex, tr)
-	return sels, plan, info, err
-}
-
-// Select runs the plan's node-selection semantics (engine.Eval) over
-// the collection and returns, per document with at least one selected
-// node, the selected node IDs in evaluation order. Results are sorted
-// by document ID; like Find, evaluation fans out per shard and the
-// merge is deterministic. The planner consults the plan's select
-// facts, which exist only for root-anchored selection (JSONPath); all
-// other plans scan. The returned indexed flag reports the chosen
-// access path.
-func (s *Store) Select(p *engine.Plan) (sels []Selection, indexed bool, err error) {
-	return s.SelectTraced(nil, p, nil)
-}
-
-// SelectTraced is Select recording the pipeline's spans on tr and
-// honouring ctx; nil tr is the untraced fast path, nil ctx disables
-// cancellation (see FindTraced).
-func (s *Store) SelectTraced(ctx context.Context, p *engine.Plan, tr *trace.Trace) (sels []Selection, indexed bool, err error) {
-	sels, plan, info, err := s.runSelect(ctx, p, tr)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		s.cancellations.Add(1)
-	}
-	if plan.Access == AccessSemantic {
-		s.semShortCircuits.Add(1)
-		return sels, false, err
-	}
-	s.notePlan(&plan)
-	indexed = plan.Access == AccessIndex
-	if indexed {
-		s.selectIndexed.Add(1)
-	} else {
-		s.selectScan.Add(1)
-	}
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(true, indexed, info.candidates)
-	return sels, indexed, err
-}
-
-// SelectScan is Select with the planner and index disabled.
-func (s *Store) SelectScan(p *engine.Plan) ([]Selection, error) {
-	s.selectScan.Add(1)
-	sels, info, err := s.selectFanout(nil, p, nil, false, nil)
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(true, false, info.candidates)
-	return sels, err
-}
-
-// selectFanout is findFanout's node-selection counterpart. Each worker
-// evaluates through a reused node buffer (engine.EvalAppend), copying
+// execute is the query pipeline: per shard, on the fan-out worker
+// pool, collect the candidates (the posting-list probe when indexed,
+// the whole shard otherwise) and evaluate each in the mode's
+// semantics; then merge the per-shard answers into one list sorted by
+// document ID. Select evaluates through a reused node buffer, copying
 // only the per-document selections that are actually returned.
-func (s *Store) selectFanout(ctx context.Context, p *engine.Plan, terms []uint64, indexed bool, tr *trace.Trace) ([]Selection, execInfo, error) {
-	if pairs, info, ok, err := s.lowShardBatch(terms, indexed, tr); ok {
-		if err != nil {
-			return nil, info, err
-		}
-		sp := tr.Start(tr.Root(), "eval")
-		selections, err := s.eng.EvalBatchBoundedCtx(ctx, p, candidateTrees(pairs), info.workers)
-		if err != nil {
-			return nil, info, err
-		}
-		out := make([]Selection, 0, len(pairs))
-		for i, nodes := range selections {
-			if len(nodes) > 0 {
-				out = append(out, Selection{ID: pairs[i].id, Tree: pairs[i].tree, Nodes: nodes})
-			}
-		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(out)))
-			tr.End(sp)
-		}
-		msp := tr.Start(tr.Root(), "merge")
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		tr.Attr(msp, "results", int64(len(out)))
-		tr.End(msp)
-		return out, info, nil
-	}
-	perShard := make([][]Selection, len(s.shards))
+func (s *Store) execute(ctx context.Context, p *engine.Plan, mode queryMode, terms []uint64, indexed bool, tr *trace.Trace) (answer, execInfo, error) {
+	sel := mode&modeSelect != 0
+	perShard := make([]answer, len(s.shards))
 	var candidates, steps atomic.Int64
 	workers, err := s.fanOut(ctx, func(i int) error {
-		pairs, st, cerr := s.shards[i].collectCandidates(terms, indexed, nil, tr, i)
-		if cerr != nil {
-			return cerr
+		pairs, st, err := s.shards[i].collectCandidates(terms, indexed, nil, tr, i)
+		if err != nil {
+			return err
 		}
 		candidates.Add(int64(len(pairs)))
 		steps.Add(int64(st))
@@ -578,96 +428,62 @@ func (s *Store) selectFanout(ctx context.Context, p *engine.Plan, terms []uint64
 			sp = tr.Start(tr.Root(), "eval")
 			tr.Attr(sp, "shard", int64(i))
 		}
-		var (
-			sels []Selection
-			buf  []jsontree.NodeID
-		)
+		out := &perShard[i]
+		var buf []jsontree.NodeID
 		for di, pair := range pairs {
-			if ctx != nil && di&(batchCancelDocs-1) == 0 {
+			if di&(batchCancelDocs-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			var verr error
-			buf, verr = s.eng.EvalAppendCtx(ctx, p, pair.tree, buf[:0])
-			if verr != nil {
-				return verr
+			if !sel {
+				ok, err := s.eng.Validate(ctx, p, pair.tree)
+				if err != nil {
+					return err
+				}
+				if ok {
+					out.ids = append(out.ids, pair.id)
+				}
+				continue
+			}
+			if buf, err = s.eng.EvalAppend(ctx, p, pair.tree, buf[:0]); err != nil {
+				return err
 			}
 			if len(buf) > 0 {
 				nodes := make([]jsontree.NodeID, len(buf))
 				copy(nodes, buf)
-				sels = append(sels, Selection{ID: pair.id, Tree: pair.tree, Nodes: nodes})
+				out.sels = append(out.sels, Selection{ID: pair.id, Tree: pair.tree, Nodes: nodes})
 			}
 		}
 		if sp != trace.None {
 			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(sels)))
+			tr.Attr(sp, "matches", int64(len(out.ids)+len(out.sels)))
 			tr.End(sp)
 		}
-		perShard[i] = sels
 		return nil
 	})
 	info := execInfo{workers: workers, steps: uint64(steps.Load()), candidates: int(candidates.Load())}
 	if err != nil {
-		return nil, info, err
+		return answer{}, info, err
 	}
 	msp := tr.Start(tr.Root(), "merge")
-	total := 0
-	for _, sels := range perShard {
-		total += len(sels)
+	nIDs, nSels := 0, 0
+	for _, a := range perShard {
+		nIDs += len(a.ids)
+		nSels += len(a.sels)
 	}
-	out := make([]Selection, 0, total)
-	for _, sels := range perShard {
-		out = append(out, sels...)
+	// Non-nil even when empty: the HTTP layer renders an empty answer
+	// as [], not null.
+	res := answer{ids: make([]string, 0, nIDs), sels: make([]Selection, 0, nSels)}
+	for _, a := range perShard {
+		res.ids = append(res.ids, a.ids...)
+		res.sels = append(res.sels, a.sels...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	tr.Attr(msp, "results", int64(len(out)))
+	slices.Sort(res.ids)
+	slices.SortFunc(res.sels, func(a, b Selection) int { return strings.Compare(a.ID, b.ID) })
+	tr.Attr(msp, "results", int64(nIDs+nSels))
 	tr.End(msp)
-	return out, info, nil
-}
-
-// findOver evaluates the plan's boolean semantics over an
-// already-collected candidate snapshot — the serial tail the
-// forced-access benchmarks use (the production path is findFanout).
-func (s *Store) findOver(p *engine.Plan, pairs []docPair) ([]string, error) {
-	verdicts, err := s.eng.ValidateBatch(p, candidateTrees(pairs))
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, len(pairs))
-	for i, ok := range verdicts {
-		if ok {
-			ids = append(ids, pairs[i].id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// selOver is findOver's node-selection counterpart.
-func (s *Store) selOver(p *engine.Plan, pairs []docPair) ([]Selection, error) {
-	selections, err := s.eng.EvalBatch(p, candidateTrees(pairs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Selection, 0, len(pairs))
-	for i, nodes := range selections {
-		if len(nodes) > 0 {
-			out = append(out, Selection{ID: pairs[i].id, Tree: pairs[i].tree, Nodes: nodes})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
-// candidateTrees projects a candidate snapshot onto the tree slice the
-// engine's batch entry points take.
-func candidateTrees(pairs []docPair) []*jsontree.Tree {
-	trees := make([]*jsontree.Tree, len(pairs))
-	for i, pair := range pairs {
-		trees[i] = pair.tree
-	}
-	return trees
+	return res, info, nil
 }
 
 // notePlan records the planner's verdict in the query counters.
@@ -735,36 +551,24 @@ type Explanation struct {
 // Explain plans and executes the query in the given mode ("find" or
 // "select") under an always-armed trace recorder, reporting the
 // logical and physical trees, estimated and actual cardinalities, and
-// the recorded per-stage span tree. It runs the real fan-out pipeline
-// (runFind/runSelect — exactly what Find and Select execute) but does
-// not disturb the store's query counters.
+// the recorded per-stage span tree. It runs the real pipeline (run —
+// exactly what Find and Select execute) but does not disturb the
+// store's query counters.
 func (s *Store) Explain(ctx context.Context, p *engine.Plan, mode string) (Explanation, error) {
+	qm := modeFind
 	switch mode {
 	case "", "find":
 		mode = "find"
 	case "select":
+		qm = modeSelect
 	default:
 		return Explanation{}, fmt.Errorf("store: explain: unknown mode %q", mode)
 	}
 	tr := trace.NewTrace("explain")
 	tr.SetQuery(p.Language().String(), p.Source(), mode)
-	var (
-		plan    QueryPlan
-		info    execInfo
-		results int
-	)
-	if mode == "find" {
-		ids, pl, inf, err := s.runFind(ctx, p, tr)
-		if err != nil {
-			return Explanation{}, err
-		}
-		plan, info, results = pl, inf, len(ids)
-	} else {
-		sels, pl, inf, err := s.runSelect(ctx, p, tr)
-		if err != nil {
-			return Explanation{}, err
-		}
-		plan, info, results = pl, inf, len(sels)
+	res, plan, info, err := s.run(ctx, p, qm, tr)
+	if err != nil {
+		return Explanation{}, err
 	}
 	for i := range plan.Terms {
 		plan.Terms[i].Classes = s.ClassHistogram(plan.Terms[i].steps).Map()
@@ -778,7 +582,7 @@ func (s *Store) Explain(ctx context.Context, p *engine.Plan, mode string) (Expla
 		Terms:            plan.Terms,
 		EstCandidates:    plan.EstCandidates,
 		ActualCandidates: info.candidates,
-		ActualResults:    results,
+		ActualResults:    len(res.ids) + len(res.sels),
 		Trace:            tr.Spans(),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -60,7 +61,7 @@ func TestConcurrentWritesDuringParallelFind(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 150; i++ {
 				p := plans[(g+i)%len(plans)]
-				ids, _, err := s.Find(p)
+				ids, _, err := s.Find(context.Background(), p, nil)
 				if err != nil {
 					t.Errorf("find: %v", err)
 					return
@@ -71,7 +72,7 @@ func TestConcurrentWritesDuringParallelFind(t *testing.T) {
 						return
 					}
 				}
-				sels, _, err := s.Select(p)
+				sels, _, err := s.Select(context.Background(), p, nil)
 				if err != nil {
 					t.Errorf("select: %v", err)
 					return
@@ -157,11 +158,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				p := plans[(g+i)%len(plans)]
-				if _, _, err := s.Find(p); err != nil {
+				if _, _, err := s.Find(context.Background(), p, nil); err != nil {
 					t.Errorf("find: %v", err)
 					return
 				}
-				if _, _, err := s.Select(p); err != nil {
+				if _, _, err := s.Select(context.Background(), p, nil); err != nil {
 					t.Errorf("select: %v", err)
 					return
 				}
@@ -214,7 +215,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, _, err := s.Find(p)
+		ids, _, err := s.Find(context.Background(), p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

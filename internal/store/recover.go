@@ -18,10 +18,9 @@ package store
 // replay wal-G, wal-G+1, … for the greatest valid G. Failed segment
 // builds leave extra WAL generations behind (a rotation happens
 // before the segment is written); they replay in order like any
-// other. Directories written by earlier builds hold snap-*.snap
-// snapshots instead; those still load (slowly, via full replay into
-// the memtable) and the next snapshot converts the shard to a
-// segment.
+// other. A shard directory still holding a snap-*.snap file from the
+// retired pre-segment snapshot format is refused: the WAL tail alone
+// would silently miss every document that snapshot held.
 
 import (
 	"bufio"
@@ -73,10 +72,9 @@ type durability struct {
 	recovery RecoveryStats
 	lock     *os.File // flock'd LOCK file; held until Close
 
-	snapMu         sync.Mutex // serializes snapshots (manual and background)
-	snapshots      atomic.Uint64
+	snapMu         sync.Mutex    // serializes snapshots (manual and background)
+	snapshots      atomic.Uint64 // segment builds (merge + swap) completed
 	snapshotErrors atomic.Uint64
-	compactions    atomic.Uint64 // segment builds (merge + swap) completed
 
 	// Degraded-mode telemetry: heal attempts on degraded shards and
 	// heals that completed (fresh WAL generation + reconciling
@@ -111,13 +109,6 @@ type RecoveryStats struct {
 	// were skipped in favor of an older generation — the torn-segment
 	// recovery counter /metrics exposes.
 	InvalidSegments int `json:"invalid_segments"`
-	// SnapshotsLoaded counts shards restored from a legacy snapshot;
-	// SnapshotDocs the documents those snapshots held.
-	SnapshotsLoaded int `json:"snapshots_loaded"`
-	SnapshotDocs    int `json:"snapshot_docs"`
-	// InvalidSnapshots counts snapshot files that failed validation and
-	// were skipped in favor of an older generation (or a pure replay).
-	InvalidSnapshots int `json:"invalid_snapshots"`
 	// WALSegments and WALRecordsReplayed cover the replayed log tail.
 	WALSegments        int `json:"wal_segments"`
 	WALRecordsReplayed int `json:"wal_records_replayed"`
@@ -126,13 +117,13 @@ type RecoveryStats struct {
 	// total amount cut.
 	TornTails      int   `json:"torn_tails"`
 	TruncatedBytes int64 `json:"truncated_bytes"`
-	// StaleTempFiles counts leftover snapshot temp files removed.
+	// StaleTempFiles counts leftover segment temp files removed.
 	StaleTempFiles int `json:"stale_temp_files"`
 }
 
 // Open opens (creating if necessary) a durable Store rooted at
 // opts.DataDir, recovering whatever a previous process made durable:
-// the latest valid snapshot per shard plus the replayed WAL tail. A
+// the latest valid segment per shard plus the replayed WAL tail. A
 // torn write at the end of an active segment — the fingerprint of a
 // crash mid-append — is truncated away; corruption anywhere else is an
 // error, never a silent gap. The recovered store's inverted path index
@@ -163,7 +154,7 @@ func Open(opts Options) (*Store, error) {
 	}()
 	// Sweep manifest temp files orphaned by a crash inside
 	// writeFileAtomic (the shard-directory sweep below only covers
-	// snap-*.tmp leftovers).
+	// seg-*.tmp leftovers).
 	if ents, err := fs.ReadDir(opts.DataDir); err == nil {
 		for _, e := range ents {
 			if !e.IsDir() && strings.HasPrefix(e.Name(), ".tmp-") {
@@ -283,8 +274,8 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Seed the bulk-ingest ID sequence past every auto-assigned ID a
-	// previous process handed out — snapshot footers carry the counter
-	// (covering IDs deleted before the snapshot), replayed puts cover
+	// previous process handed out — segment footers carry the counter
+	// (covering IDs deleted before the segment), replayed puts cover
 	// the WAL tail — so a restart never recycles an ID a client may
 	// have observed.
 	s.seq.Store(maxSeq)
@@ -328,7 +319,7 @@ func noteAutoID(id string, maxSeq *uint64) {
 
 // recoverShard restores shard i from its directory, creating it on
 // first open, and leaves d.wals[i] open for appending. maxSeq is
-// raised past every auto-assigned ID seen in snapshots (their footers
+// raised past every auto-assigned ID seen in segments (their footers
 // persist the counter) and replayed WAL puts.
 func (s *Store) recoverShard(i int, rs *RecoveryStats, maxSeq *uint64) error {
 	d := s.dur
@@ -340,76 +331,50 @@ func (s *Store) recoverShard(i int, rs *RecoveryStats, maxSeq *uint64) error {
 	if err != nil {
 		return fmt.Errorf("store: recover shard %d: %w", i, err)
 	}
-	type baseCand struct {
-		gen  uint64
-		kind string
-	}
-	var bases []baseCand
-	var walGens []uint64
+	var segGens, walGens []uint64
 	for _, e := range entries {
 		name := e.Name()
 		switch gen, kind := parseGenName(name); kind {
 		case "wal":
 			walGens = append(walGens, gen)
-		case "seg", "snap":
-			bases = append(bases, baseCand{gen: gen, kind: kind})
+		case "seg":
+			segGens = append(segGens, gen)
+		case "snap":
+			// The retired pre-segment snapshot format. This build cannot
+			// read it, and replaying the WAL tail alone would silently
+			// drop every document the snapshot holds.
+			return fmt.Errorf("store: recover shard %d: %s is a legacy snapshot, a format this build no longer reads; refusing to open from the WAL tail alone", i, filepath.Join(dir, name))
 		}
 		if filepath.Ext(name) == ".tmp" {
-			// A segment or snapshot build that never reached its rename;
-			// the WAL covering it is still intact.
+			// A segment build that never reached its rename; the WAL
+			// covering it is still intact.
 			d.fs.Remove(filepath.Join(dir, name))
 			rs.StaleTempFiles++
 		}
 	}
-	// Descending generation; a segment outranks a same-generation
-	// legacy snapshot (they hold identical state, the segment is free
-	// to open).
-	sort.Slice(bases, func(a, b int) bool {
-		if bases[a].gen != bases[b].gen {
-			return bases[a].gen > bases[b].gen
-		}
-		return bases[a].kind == "seg"
-	})
+	sort.Slice(segGens, func(a, b int) bool { return segGens[a] > segGens[b] }) // descending
 	sort.Slice(walGens, func(a, b int) bool { return walGens[a] < walGens[b] }) // ascending
 
-	// Latest base that validates end-to-end wins; invalid ones are
+	// Latest segment that validates end-to-end wins; invalid ones are
 	// skipped (never partially applied) in favor of older generations.
-	// A segment base is mapped, not loaded: O(1) in its document count.
+	// A segment is mapped, not loaded: O(1) in its document count.
 	sh := s.shards[i]
 	baseGen := uint64(0)
-	for _, c := range bases {
-		if c.kind == "seg" {
-			sr, err := openSegment(d.fs, segFilePath(dir, c.gen), c.gen, s.opts.SegmentNoMmap)
-			if err != nil {
-				rs.InvalidSegments++
-				continue
-			}
-			sh.seg = sr
-			sh.segDead = newBitmap(sr.n)
-			sh.segLive = sr.n
-			if sr.seq > *maxSeq {
-				*maxSeq = sr.seq
-			}
-			baseGen = c.gen
-			rs.SegmentsMapped++
-			rs.SegmentDocs += sr.n
-			break
-		}
-		docs, snapSeq, err := loadSnapshot(d.fs, snapFilePath(dir, c.gen))
+	for _, gen := range segGens {
+		sr, err := openSegment(d.fs, segFilePath(dir, gen), gen, s.opts.SegmentNoMmap)
 		if err != nil {
-			rs.InvalidSnapshots++
+			rs.InvalidSegments++
 			continue
 		}
-		if snapSeq > *maxSeq {
-			*maxSeq = snapSeq
+		sh.seg = sr
+		sh.segDead = newBitmap(sr.n)
+		sh.segLive = sr.n
+		if sr.seq > *maxSeq {
+			*maxSeq = sr.seq
 		}
-		baseGen = c.gen
-		rs.SnapshotsLoaded++
-		rs.SnapshotDocs += len(docs)
-		for id, t := range docs {
-			s.memPut(id, t)
-			noteAutoID(id, maxSeq)
-		}
+		baseGen = gen
+		rs.SegmentsMapped++
+		rs.SegmentDocs += sr.n
 		break
 	}
 
@@ -423,12 +388,11 @@ func (s *Store) recoverShard(i int, rs *RecoveryStats, maxSeq *uint64) error {
 		}
 	}
 	// The first replayed generation must be the base itself: segments
-	// (and snapshots) obsolete — and delete — everything before their
-	// generation, so a later start means the covering base failed to
+	// obsolete — and delete — everything before their generation, so a later start means the covering base failed to
 	// validate and the records bridging the gap are gone. Refuse to
 	// resurrect a partial history.
 	if len(replay) > 0 && replay[0] != baseGen {
-		return fmt.Errorf("store: recover shard %d: no usable segment or snapshot for generation %d (WAL starts there, base is %d): unrecoverable gap", i, replay[0], baseGen)
+		return fmt.Errorf("store: recover shard %d: no usable segment for generation %d (WAL starts there, base is %d): unrecoverable gap", i, replay[0], baseGen)
 	}
 	activeGen := baseGen
 	activeSegRecords := uint64(0)
@@ -468,8 +432,9 @@ func (s *Store) recoverShard(i int, rs *RecoveryStats, maxSeq *uint64) error {
 }
 
 // parseGenName classifies a shard-directory entry as a WAL segment
-// ("wal"), an index segment file ("seg"), a legacy snapshot ("snap")
-// or neither (""), returning its generation number.
+// ("wal"), an index segment file ("seg"), a retired legacy snapshot
+// ("snap", which recovery refuses) or neither (""), returning its
+// generation number.
 func parseGenName(name string) (gen uint64, kind string) {
 	cut := func(prefix, suffix string) (string, bool) {
 		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) && len(name) > len(prefix)+len(suffix) {

@@ -1,13 +1,11 @@
 package store
 
 // recover_bench_test.go: the startup-cost benchmark the segment tier
-// exists for (committed to BENCH_8.json). Three disk layouts holding
+// exists for (committed to BENCH_8.json). Two disk layouts holding
 // the same collection are reopened at 10k and 100k documents:
 //
 //	wal-replay     no base at all — every record reparsed and
 //	               reindexed (the pre-snapshot worst case; O(n))
-//	snapshot-load  the legacy snap-*.snap layout — one file, but
-//	               still parsed and indexed document by document (O(n))
 //	segment-open   the segment layout — the file is mapped and its
 //	               footer CRC checked; no JSON parse, no posting list
 //	               rebuilt (O(1) in the document count, O(n) only in
@@ -19,10 +17,7 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"testing"
-
-	"jsonlogic/internal/jsontree"
 )
 
 var recoverBenchSizes = []int{10000, 100000}
@@ -46,36 +41,16 @@ func seedRecoverDir(b *testing.B, opts Options, n int, layout string) {
 			b.Fatal(err)
 		}
 	}
-	if layout == "snapshot-load" {
-		// Rewrite each shard's segment as the legacy snapshot it
-		// replaced, so the benchmark measures the old layout's load cost
-		// on the same recovery code.
-		for i, sh := range s.shards {
-			docs := make(map[string]*jsontree.Tree, sh.live())
-			if err := sh.each(func(id string, t *jsontree.Tree) {
-				docs[id] = t
-			}); err != nil {
-				b.Fatal(err)
-			}
-			sd := s.dur.shardDir(i)
-			if err := writeSnapshot(osFS{}, sd, 1, docs, s.seq.Load()); err != nil {
-				b.Fatal(err)
-			}
-			if err := os.Remove(segFilePath(sd, 1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkStoreRecover measures Open against the three layouts. The
+// BenchmarkStoreRecover measures Open against the two layouts. The
 // acceptance bar for the segment tier: segment-open at 100k documents
 // at least 10× faster than wal-replay.
 func BenchmarkStoreRecover(b *testing.B) {
-	for _, layout := range []string{"wal-replay", "snapshot-load", "segment-open"} {
+	for _, layout := range []string{"wal-replay", "segment-open"} {
 		for _, n := range recoverBenchSizes {
 			b.Run(fmt.Sprintf("%s/docs=%d", layout, n), func(b *testing.B) {
 				opts := Options{Shards: 16, DataDir: b.TempDir(), Fsync: FsyncOff, SnapshotEvery: -1}

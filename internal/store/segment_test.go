@@ -2,7 +2,7 @@ package store
 
 // segment_test.go: the segment tier's own test battery — the crash
 // matrix (torn footer, flipped block, kill during compaction), the
-// legacy-snapshot upgrade path, a churn differential that crosses the
+// refusal of the retired legacy-snapshot layout, a churn differential that crosses the
 // tier boundary repeatedly (including the forced heap fallback), and
 // the allocation pin on the compressed probe path.
 
@@ -10,12 +10,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"jsonlogic/internal/engine"
 	"jsonlogic/internal/gen"
-	"jsonlogic/internal/jsontree"
 )
 
 // measureAllocs reports steady-state allocations per call with GC
@@ -144,77 +145,62 @@ func TestSegmentCrashMatrix(t *testing.T) {
 	})
 }
 
-// TestSegmentLegacySnapshotCompat: a directory whose base is a legacy
-// snap-*.snap (written by a pre-segment build) still opens — via the
-// slow replay path — and the next Snapshot converts the shard to a
-// segment and removes the snapshot.
-func TestSegmentLegacySnapshotCompat(t *testing.T) {
+// TestSegmentLegacySnapshotRefused: a shard directory whose base is a
+// snap-*.snap from the retired pre-segment format must fail Open with
+// an error naming the file, and leave it in place. Opening from the
+// WAL tail alone would silently drop every document the snapshot
+// holds.
+func TestSegmentLegacySnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 1, DataDir: dir, Fsync: FsyncAlways, SnapshotEvery: -1}
 	s := openDurable(t, opts)
-	ref := New(Options{Shards: 1})
-	base := make(map[string]*jsontree.Tree)
 	for i := 0; i < 30; i++ {
-		id := fmt.Sprintf("k%02d", i)
-		doc := fmt.Sprintf(`{"i":%d,"k":"v%d"}`, i, i%5)
-		if err := s.Put(id, doc); err != nil {
+		if err := s.Put(fmt.Sprintf("k%02d", i), fmt.Sprintf(`{"i":%d}`, i)); err != nil {
 			t.Fatal(err)
 		}
-		ref.Put(id, doc)
-		tr, err := jsontree.Parse(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base[id] = tr
 	}
-	if err := s.Snapshot(); err != nil {
+	if err := s.Snapshot(); err != nil { // seg-1 + wal-1
 		t.Fatal(err)
 	}
 	for i := 30; i < 35; i++ { // a WAL tail past the base
-		id := fmt.Sprintf("k%02d", i)
-		if err := s.Put(id, `{"late":1}`); err != nil {
+		if err := s.Put(fmt.Sprintf("k%02d", i), `{"late":1}`); err != nil {
 			t.Fatal(err)
 		}
-		ref.Put(id, `{"late":1}`)
 	}
 	sd := s.dur.shardDir(0)
-	s.crashForTest()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Rewrite generation 1 in the legacy layout and drop the segment:
-	// exactly what a directory written by an older build looks like.
-	if err := writeSnapshot(osFS{}, sd, 1, base, 0); err != nil {
+	// Rewrite generation 1's base as a pre-segment build left it: a
+	// well-formed legacy snapshot (magic, one put record per document,
+	// then the footer record — op 3, record count, ID sequence) in
+	// place of the segment.
+	raw := []byte("JLSNAP1\n")
+	for i := 0; i < 30; i++ {
+		raw = encodeRecord(raw, walRecord{op: opPut, id: fmt.Sprintf("k%02d", i), doc: fmt.Sprintf(`{"i":%d}`, i)})
+	}
+	raw = encodeRecord(raw, walRecord{op: 3, id: "30", doc: "0"})
+	snap := filepath.Join(sd, "snap-0000000001.snap")
+	if err := os.WriteFile(snap, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(segFilePath(sd, 1)); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := openDurable(t, opts)
-	rs := s2.Stats().Durability.Recovery
-	if rs.SnapshotsLoaded != 1 || rs.SegmentsMapped != 0 || rs.SnapshotDocs != 30 {
-		t.Fatalf("recovery stats = %+v, want the legacy snapshot loaded", rs)
+	s2, err := Open(opts)
+	if err == nil {
+		n := s2.Len()
+		s2.Close()
+		t.Fatalf("Open accepted a legacy snapshot directory (%d docs)", n)
 	}
-	compareStores(t, s2, ref)
-
-	// The next snapshot upgrades the shard to the segment layout.
-	if err := s2.Snapshot(); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), snap) {
+		t.Fatalf("refusal %q does not name %s", err, snap)
 	}
-	if _, err := os.Stat(segFilePath(sd, 2)); err != nil {
-		t.Fatalf("conversion did not produce a segment: %v", err)
+	if _, err := os.Stat(snap); err != nil {
+		t.Fatalf("refused open disturbed the legacy snapshot: %v", err)
 	}
-	if _, err := os.Stat(snapFilePath(sd, 1)); !os.IsNotExist(err) {
-		t.Fatal("legacy snapshot survived its conversion")
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3 := openDurable(t, opts)
-	defer s3.Close()
-	if rs := s3.Stats().Durability.Recovery; rs.SegmentsMapped != 1 {
-		t.Fatalf("recovery stats = %+v, want the converted segment mapped", rs)
-	}
-	compareStores(t, s3, ref)
 }
 
 // TestSegmentDifferentialChurn is the tier-boundary differential:

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -209,11 +210,11 @@ func runSemanticDifferential(t *testing.T, seed int64, lang engine.Language) {
 				t.Fatalf("not-contained verdict without counterexample: %q vs %q", srcP, srcQ)
 			}
 			w := jsontree.FromValue(pq.Counterexample)
-			okP, err := eng.Validate(planP, w)
+			okP, err := eng.Validate(context.Background(), planP, w)
 			if err != nil {
 				t.Fatalf("validate witness against %q: %v", srcP, err)
 			}
-			okQ, err := eng.Validate(planQ, w)
+			okQ, err := eng.Validate(context.Background(), planQ, w)
 			if err != nil {
 				t.Fatalf("validate witness against %q: %v", srcQ, err)
 			}
@@ -226,11 +227,11 @@ func runSemanticDifferential(t *testing.T, seed int64, lang engine.Language) {
 
 		// P ⊑ Q: every matching document of P must match Q.
 		contained++
-		idsP, _, err := s.Find(planP)
+		idsP, _, err := s.Find(context.Background(), planP, nil)
 		if err != nil {
 			t.Fatalf("Find(%q): %v", srcP, err)
 		}
-		idsQ, _, err := s.Find(planQ)
+		idsQ, _, err := s.Find(context.Background(), planQ, nil)
 		if err != nil {
 			t.Fatalf("Find(%q): %v", srcQ, err)
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -62,14 +63,14 @@ func TestUnsatShortCircuitAllFrontEnds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids, indexed, err := s.Find(p)
+			ids, indexed, err := s.Find(context.Background(), p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(ids) != 0 || indexed {
 				t.Fatalf("Find = %v, indexed=%v; want empty, false", ids, indexed)
 			}
-			sels, _, err := s.Select(p)
+			sels, _, err := s.Select(context.Background(), p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestUnsatShortCircuitTraceAndExplain(t *testing.T) {
 	}
 
 	tr := trace.NewTrace("test")
-	if _, _, err := s.FindTraced(nil, p, tr); err != nil {
+	if _, _, err := s.Find(context.Background(), p, tr); err != nil {
 		t.Fatal(err)
 	}
 	var verdict any
@@ -127,7 +128,7 @@ func TestUnsatShortCircuitTraceAndExplain(t *testing.T) {
 		t.Fatalf("semantic span verdict = %v, want \"unsat\"", verdict)
 	}
 
-	ex, err := s.Explain(nil, p, "find")
+	ex, err := s.Explain(context.Background(), p, "find")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestSchemaUnsatShortCircuit(t *testing.T) {
 		t.Fatal("root-string query not schema-unsat under an object-only schema")
 	}
 
-	ids, _, err := enforcing.Find(p)
+	ids, _, err := enforcing.Find(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestSchemaUnsatShortCircuit(t *testing.T) {
 		t.Fatalf("enforcing SemanticShortCircuits = %d, want 1", got)
 	}
 
-	ids, _, err = lawless.Find(p)
+	ids, _, err = lawless.Find(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestSchemaTermPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := s.Explain(nil, p, "find")
+	ex, err := s.Explain(context.Background(), p, "find")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestSchemaTermPruning(t *testing.T) {
 		t.Fatalf("no schema-pruned term in explanation: %+v", ex.Terms)
 	}
 
-	ids, _, err := s.Find(p)
+	ids, _, err := s.Find(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestSchemaTermPruning(t *testing.T) {
 	if err := lawless.Put("x", `{"k0": 1, "k1": 1}`); err != nil {
 		t.Fatal(err)
 	}
-	ex, err = lawless.Explain(nil, p, "find")
+	ex, err = lawless.Explain(context.Background(), p, "find")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -369,7 +370,7 @@ func (s *Store) validateSchema(what string, t *jsontree.Tree) error {
 	if s.opts.Schema == nil {
 		return nil
 	}
-	ok, err := s.eng.Validate(s.opts.Schema.Plan(), t)
+	ok, err := s.eng.Validate(context.TODO(), s.opts.Schema.Plan(), t)
 	if err != nil {
 		return fmt.Errorf("store: %s: schema validation: %w", what, err)
 	}
@@ -607,16 +608,17 @@ type DurabilityStats struct {
 	// WALSegmentRecords is the record count across the active
 	// segments — the replay debt a crash right now would incur.
 	WALSegmentRecords uint64 `json:"wal_segment_records"`
-	// Snapshots / SnapshotErrors count background and manual snapshot
-	// attempts since open.
+	// Snapshots counts completed background and manual snapshots
+	// (segment builds) since open; SnapshotErrors the failed ones.
 	Snapshots      uint64 `json:"snapshots"`
 	SnapshotErrors uint64 `json:"snapshot_errors"`
 	// Segments / SegmentBytes / SegmentDocs describe the immutable
 	// read tier: shards with a mapped segment file, bytes mapped (or
 	// heap-resident under the no-mmap fallback) and live documents
 	// served from segments. MemtableDocs counts documents in the
-	// mutable tier above them; Compactions counts segment builds
-	// (snapshot-triggered merges) completed since open.
+	// mutable tier above them. Compactions equals Snapshots: every
+	// completed snapshot is one segment build (memtable + old segment
+	// merged), so both read the same counter.
 	Segments     int    `json:"segments"`
 	SegmentBytes int64  `json:"segment_bytes"`
 	SegmentDocs  int    `json:"segment_docs"`
@@ -707,11 +709,12 @@ func (s *Store) Stats() Stats {
 
 // stats assembles the durable half of Stats.
 func (d *durability) stats() *DurabilityStats {
+	snapshots := d.snapshots.Load()
 	ds := &DurabilityStats{
 		Fsync:          d.policy.String(),
-		Snapshots:      d.snapshots.Load(),
+		Snapshots:      snapshots,
 		SnapshotErrors: d.snapshotErrors.Load(),
-		Compactions:    d.compactions.Load(),
+		Compactions:    snapshots,
 		WALRetries:     d.walRetries.Load(),
 		WALHeals:       d.walHeals.Load(),
 		Recovery:       d.recovery,

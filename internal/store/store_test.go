@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -16,7 +17,7 @@ func mustFind(t *testing.T, s *Store, lang engine.Language, src string) []string
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	ids, _, err := s.Find(p)
+	ids, _, err := s.Find(context.Background(), p, nil)
 	if err != nil {
 		t.Fatalf("find %q: %v", src, err)
 	}
@@ -131,10 +132,10 @@ func TestIndexedVsScanCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids, indexed, err := s.Find(deep); err != nil || !indexed || len(ids) != 0 {
+	if ids, indexed, err := s.Find(context.Background(), deep, nil); err != nil || !indexed || len(ids) != 0 {
 		t.Fatalf("deep JSONPath: ids=%v indexed=%v err=%v, want indexed and empty", ids, indexed, err)
 	}
-	if sels, indexed, err := s.Select(deep); err != nil || !indexed || len(sels) != 0 {
+	if sels, indexed, err := s.Select(context.Background(), deep, nil); err != nil || !indexed || len(sels) != 0 {
 		t.Fatalf("deep select: sels=%v indexed=%v err=%v, want indexed and empty", sels, indexed, err)
 	}
 	// An in-bound prefix every document carries is index-supported but
@@ -145,7 +146,7 @@ func TestIndexedVsScanCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Stats().Queries.PlannerScan
-	if _, indexed, err := s.Find(shallow); err != nil || indexed {
+	if _, indexed, err := s.Find(context.Background(), shallow, nil); err != nil || indexed {
 		t.Fatalf("unselective in-bound plan must scan (indexed=%v err=%v)", indexed, err)
 	}
 	if after := s.Stats().Queries.PlannerScan; after != before+1 {
@@ -167,7 +168,7 @@ func TestSelectJSONPathIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, indexed, err := s.Select(p)
+	sel, indexed, err := s.Select(context.Background(), p, nil)
 	if err != nil || !indexed {
 		t.Fatalf("select: indexed=%v err=%v", indexed, err)
 	}
@@ -270,7 +271,7 @@ func TestDeepFactPartialPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, indexed, err := s.Find(p)
+	ids, indexed, err := s.Find(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,17 +291,18 @@ func TestDeepFactPartialPruning(t *testing.T) {
 	}
 }
 
-// TestLowShardBatchFallback pins the worker-budget fallback: with
-// fewer shards than query workers, Find/Select route through the
-// engine's per-document batch pool (shard fan-out could not use the
-// budget) and must return exactly the per-shard path's results, with
-// every query still accounted in the fan-out counters.
-func TestLowShardBatchFallback(t *testing.T) {
-	batch := New(Options{Shards: 1, QueryWorkers: 8})
+// TestFewerShardsThanWorkers pins the configuration with fewer shards
+// than query workers (a 1-shard store on a many-core host): the shard
+// fan-out is the only parallelism scheme, so the query runs on one
+// worker and must return exactly what a 1-worker store and the
+// reference scan return, with every query accounted in the fan-out
+// counters.
+func TestFewerShardsThanWorkers(t *testing.T) {
+	wide := New(Options{Shards: 1, QueryWorkers: 8})
 	ref := New(Options{Shards: 1, QueryWorkers: 1})
 	for i := 0; i < 40; i++ {
 		doc := fmt.Sprintf(`{"g":"g%d","n":%d}`, i%4, i)
-		for _, s := range []*Store{batch, ref} {
+		for _, s := range []*Store{wide, ref} {
 			if err := s.Put(fmt.Sprintf("d%02d", i), doc); err != nil {
 				t.Fatal(err)
 			}
@@ -308,34 +310,37 @@ func TestLowShardBatchFallback(t *testing.T) {
 	}
 	queries := 0
 	for _, src := range []string{`{"g":"g1","n":{"$lte":20}}`, `{"n":{"$gte":0}}`} {
-		p, err := batch.Engine().Compile(engine.LangMongoFind, src)
+		p, err := wide.Engine().Compile(engine.LangMongoFind, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := batch.Find(p)
+		got, _, err := wide.Find(context.Background(), p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := ref.Find(p)
+		want, _, err := ref.Find(context.Background(), p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameIDs(got, want) {
-			t.Fatalf("batch fallback Find(%s) = %v, per-shard path = %v", src, got, want)
+			t.Fatalf("wide Find(%s) = %v, 1-worker store = %v", src, got, want)
 		}
-		scan, err := batch.FindScan(p)
+		scan, err := wide.FindScan(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameIDs(got, scan) {
-			t.Fatalf("batch fallback Find(%s) = %v, scan = %v", src, got, scan)
+			t.Fatalf("wide Find(%s) = %v, scan = %v", src, got, scan)
 		}
-		queries += 2 // Find + FindScan on batch
+		queries += 2 // Find + FindScan on wide
 	}
-	q := batch.Stats().Queries
+	q := wide.Stats().Queries
 	if q.ParallelQueries+q.SerialQueries != uint64(queries) {
 		t.Fatalf("fan-out counters cover %d queries, ran %d: %+v",
 			q.ParallelQueries+q.SerialQueries, queries, q)
+	}
+	if q.SerialQueries != uint64(queries) {
+		t.Fatalf("%d of %d queries fanned out over one shard", q.ParallelQueries, queries)
 	}
 }
 

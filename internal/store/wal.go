@@ -79,10 +79,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 const (
 	opPut    byte = 1 // doc holds the compact JSON of the stored tree
 	opDelete byte = 2 // doc empty
-	opFooter byte = 3 // snapshot trailer; id holds the decimal record count
 
-	walMagic  = "JLWAL1\n"
-	snapMagic = "JLSNAP1\n"
+	walMagic = "JLWAL1\n"
 
 	// maxRecordPayload bounds one record's payload; anything larger is
 	// treated as a torn length prefix. Comfortably above the daemon's
@@ -156,14 +154,6 @@ func readRecord(r *bufio.Reader) (rec walRecord, n int64, err error) {
 
 func walPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%010d.log", gen))
-}
-
-func snapFilePath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%010d.snap", gen))
-}
-
-func snapTempPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%010d.tmp", gen))
 }
 
 // ErrWAL marks every write-ahead-log failure (append, fsync, rotate,
